@@ -1,6 +1,6 @@
 """Driver contract for the graft builder (Ray Data target).
 
-``entry()`` runs the flagship extraction pipeline (regression-PDF corpus ->
+``entry()`` runs the flagship extraction pipeline (generated PDF corpus ->
 interleaved span table) plus the spans-normalization pipeline over
 sf0.001.  ``queries()`` exposes one entry per implemented operator;
 ``oracle_sql()`` gives the DuckDB-equivalent SQL where expressible (the
@@ -22,11 +22,25 @@ _CORPUS_CACHE = "/tmp/graft_corpus_cache"
 
 
 def _corpus_dir(n_docs: int = 16, n_shards: int = 4) -> str:
-    from iesl_pdf_to_text_ray.sources.corpus import synthesize_pdf_corpus
-    d = os.path.join(_CORPUS_CACHE, f"n{n_docs}")
-    marker = os.path.join(d, "part-00000.parquet")
-    if not os.path.exists(marker):
-        synthesize_pdf_corpus(d, n_docs=n_docs, n_shards=n_shards)
+    """Cached generated PDF corpus.  The directory is keyed by a digest of
+    the base documents, so a corpus from another generator is never
+    reused, and is written under a temporary name and renamed into place,
+    so a half-written one is never seen."""
+    import shutil
+    import tempfile
+
+    from iesl_pdf_to_text_ray.sources.corpus import (base_documents_digest,
+                                                     synthesize_pdf_corpus)
+    d = os.path.join(_CORPUS_CACHE,
+                     f"n{n_docs}_s{n_shards}_{base_documents_digest()}")
+    if not os.path.isdir(d):
+        os.makedirs(_CORPUS_CACHE, exist_ok=True)
+        tmp = tempfile.mkdtemp(dir=_CORPUS_CACHE, prefix=".tmp-")
+        synthesize_pdf_corpus(tmp, n_docs=n_docs, n_shards=n_shards)
+        try:
+            os.rename(tmp, d)
+        except OSError:     # another process renamed its copy first
+            shutil.rmtree(tmp, ignore_errors=True)
     return d
 
 
@@ -82,21 +96,20 @@ def extract_corpus_ranged_query(sf_dir: str):
     disk -> pointer-only shard rows -> ChunkedData range fetches inside
     ExtractShards -> reassembly.  No actor ever holds a whole payload;
     digests equal extract_corpus (pinned in tests/test_ranged.py)."""
-    import shutil
-
     import pyarrow as pa
     from iesl_pdf_to_text_ray.pipelines.extract_pipeline import \
         extract_pdf_dir_ranged
+    from iesl_pdf_to_text_ray.sources.corpus import (base_documents,
+                                                     base_documents_digest)
     from iesl_pdf_to_text_ray.stages.extract import spans_digest
-    pdf_dir = "/tmp/graft_ranged_corpus"
+    pdf_dir = f"/tmp/graft_ranged_corpus_{base_documents_digest()}"
     if not os.path.exists(os.path.join(pdf_dir, "_done")):
         os.makedirs(pdf_dir, exist_ok=True)
-        src = "/root/reference/src/test/resources/input"
-        for name in ("1301.4293", "C04-1204", "test24", "test25"):
+        for doc in base_documents():
             for copy in range(4):
-                shutil.copy(os.path.join(src, f"{name}.pdf"),
-                            os.path.join(pdf_dir,
-                                         f"doc-{copy}-{name}.pdf"))
+                with open(os.path.join(pdf_dir, f"doc-{copy}-{doc.name}.pdf"),
+                          "wb") as f:
+                    f.write(doc.pdf_bytes)
         open(os.path.join(pdf_dir, "_done"), "w").close()
     ds = extract_pdf_dir_ranged(pdf_dir, concurrency=(1, 8),
                                 pages_per_shard=4)

@@ -46,8 +46,9 @@ def host_speed_probe() -> dict:
 
 
 def _corpus(n_docs: int) -> str:
-    from iesl_pdf_to_text_ray.sources.corpus import synthesize_pdf_corpus
-    d = f"/tmp/graft_bench_corpus/n{n_docs}"
+    from iesl_pdf_to_text_ray.sources.corpus import (base_documents_digest,
+                                                     synthesize_pdf_corpus)
+    d = f"/tmp/graft_bench_corpus/n{n_docs}_{base_documents_digest()}"
     if not os.path.exists(os.path.join(d, "part-00000.parquet")):
         synthesize_pdf_corpus(d, n_docs=n_docs,
                               n_shards=max(8, n_docs // 16))

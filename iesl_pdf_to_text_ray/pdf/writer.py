@@ -69,12 +69,20 @@ def serialize(obj, crypt=None) -> bytes:
 def merge_pdfs(docs: list[bytes]) -> bytes:
     """Concatenate documents into one multi-hundred-page PDF (object
     numbers offset per source, one combined page tree).  Used to
-    synthesize the pathological skew-test documents the corpus lacks."""
-    from .document import PdfDocument
+    synthesize the pathological skew-test documents the corpus lacks.
+
+    Each page gets the attributes it inherited from its source page tree
+    (Resources, MediaBox, CropBox, Rotate) written onto its own dict, and
+    its /Parent pointed at the combined root: page enumeration inherits
+    top-down from the new root, so attributes left on a source /Pages
+    node would otherwise be lost."""
+    from .document import _INHERITABLE, PdfDocument
 
     out = bytearray(b"%PDF-1.6\n%\xe2\xe3\xcf\xd3\n")
     offsets: dict[int, int] = {}
-    next_num = 1
+    # object 1 is the combined page tree, 2 the catalog
+    pages_num, cat_num = 1, 2
+    next_num = 3
     all_page_refs: list[Ref] = []
 
     def renum(obj, base: int):
@@ -108,11 +116,38 @@ def merge_pdfs(docs: list[bytes]) -> bytes:
                 continue
             objs[num] = obj
             max_num = max(max_num, num)
+
+        # this doc's page objects, in order, with their inherited attributes
+        page_inherited: dict[int, dict] = {}
+
+        def walk_pages(node_ref, inherited: dict):
+            node = xref.fetch_if_ref(node_ref)
+            if not isinstance(node, dict):
+                return
+            inh = dict(inherited)
+            for k in _INHERITABLE:
+                if node.get(k) is not None:
+                    inh[k] = node[k]
+            if str(node.get("Type") or "") == "Page" or (
+                    "Contents" in node and "Kids" not in node):
+                if isinstance(node_ref, Ref) and node_ref.num in objs:
+                    page_inherited[node_ref.num] = inh
+                    all_page_refs.append(Ref(node_ref.num + base, 0))
+                return
+            kids = xref.fetch_if_ref(node.get("Kids"))
+            if isinstance(kids, list):
+                for kid in kids:
+                    walk_pages(kid, inh)
+
         root = xref.fetch_if_ref(xref.trailer.get("Root"))
-        pages_ref = root.get("Pages") if isinstance(root, dict) else None
+        walk_pages(root.get("Pages") if isinstance(root, dict) else None, {})
+
         for num, obj in objs.items():
+            inh = page_inherited.get(num)
+            obj = renum(obj if inh is None else {**inh, **obj}, base)
+            if inh is not None:
+                obj["Parent"] = Ref(pages_num, 0)
             offsets[num + base] = len(out)
-            obj = renum(obj, base)
             out += b"%d 0 obj\n" % (num + base)
             if isinstance(obj, Stream):
                 sdict = dict(obj.dict)
@@ -122,29 +157,8 @@ def merge_pdfs(docs: list[bytes]) -> bytes:
             else:
                 out += serialize(obj)
             out += b"\nendobj\n"
-        # collect this doc's page object refs (renumbered)
-        def walk_pages(node_ref):
-            node = xref.fetch_if_ref(node_ref)
-            if not isinstance(node, dict):
-                return
-            if str(node.get("Type") or "") == "Page" or (
-                    "Contents" in node and "Kids" not in node):
-                if isinstance(node_ref, Ref):
-                    all_page_refs.append(Ref(node_ref.num + base, 0))
-                return
-            kids = xref.fetch_if_ref(node.get("Kids"))
-            if isinstance(kids, list):
-                for kid in kids:
-                    walk_pages(kid)
-        walk_pages(pages_ref)
         next_num = base + max_num + 1
 
-    # combined page tree + catalog.  Page objects keep their original
-    # (now stale) /Parent refs: inheritable attributes were already
-    # resolvable through them, and page enumeration walks /Kids downward
-    # from the new Root, so the stale parents are harmless.
-    pages_num = next_num
-    cat_num = next_num + 1
     offsets[pages_num] = len(out)
     out += b"%d 0 obj\n" % pages_num + serialize(
         {"Type": Name("Pages"), "Count": len(all_page_refs),

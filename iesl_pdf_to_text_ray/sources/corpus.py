@@ -1,4 +1,4 @@
-"""Corpus sources: the regression-PDF corpus table and synthetic tables.
+"""Corpus sources: the generated PDF corpus table and synthetic tables.
 
 The primary pipeline input is a table of documents with binary PDF payloads
 (Lance at production scale; parquet stand-in here — the container has no
@@ -8,21 +8,31 @@ lance wheel, so ``read_corpus`` gates on import).  Schema:
     pdf_bytes : binary
     n_pages   : int32
 
-``synthesize_pdf_corpus`` replicates the 4 reference regression PDFs into
-N rows with deterministic doc_ids — in-sandbox bytes, no external data —
-written as M parquet shard files so the pipeline has real partitions to
-stream, skip on resume, and skew-split.
+``synthesize_pdf_corpus`` replicates 4 generated base documents
+(``base_documents``, written by ``pdfgen.make_document`` together with
+their predicted spans) into N rows with deterministic doc_ids — no
+external data — written as M parquet shard files so the pipeline has
+real partitions to stream, skip on resume, and skew-split.  The base
+documents have the page counts of the reference regression PDFs;
+``reference_pdf_bytes`` reads those PDFs themselves, for the parity
+tests against their golden outputs.
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import os
+from typing import NamedTuple
 
 import pyarrow as pa
 import pyarrow.parquet as pq
 
 _REF_INPUT = "/root/reference/src/test/resources/input"
 _REF_DOCS = [("1301.4293", 4), ("C04-1204", 7), ("test24", 12), ("test25", 7)]
+# generated base documents: (name, generator seed); base doc i has the
+# page count of reference doc i
+_BASE_SEEDS = [("gen-a", 101), ("gen-b", 102), ("gen-c", 103), ("gen-d", 104)]
 
 CORPUS_SCHEMA = pa.schema([
     ("doc_id", pa.string()),
@@ -58,24 +68,62 @@ SPANS_SCHEMA = pa.schema([
 
 
 def reference_pdf_bytes() -> dict[str, bytes]:
+    """The reference regression PDFs, by name (parity tests only)."""
     return {name: open(f"{_REF_INPUT}/{name}.pdf", "rb").read()
             for name, _ in _REF_DOCS}
 
 
+class BaseDocument(NamedTuple):
+    name: str
+    pdf_bytes: bytes
+    n_pages: int
+    spans: tuple    # predicted ((kind, text, media_ref, inserted_spaces), ...)
+
+    @property
+    def n_text(self) -> int:
+        return sum(1 for s in self.spans if s[0] == "text")
+
+    @property
+    def n_media(self) -> int:
+        return sum(1 for s in self.spans if s[0] == "media")
+
+
+@functools.lru_cache(maxsize=1)
+def base_documents() -> tuple[BaseDocument, ...]:
+    """The 4 generated base documents of ``synthesize_pdf_corpus``, each
+    with the span sequence its generator predicts for it."""
+    from .pdfgen import make_document
+    out = []
+    for (name, seed), (_, n_pages) in zip(_BASE_SEEDS, _REF_DOCS):
+        data, spans = make_document(seed, n_pages)
+        out.append(BaseDocument(name, data, n_pages, tuple(spans)))
+    return tuple(out)
+
+
+def base_documents_digest() -> str:
+    """Short digest of the base documents' bytes: changes whenever the
+    generator or its seeds do (a key for on-disk corpus caches)."""
+    h = hashlib.md5()
+    for doc in base_documents():
+        h.update(doc.pdf_bytes)
+    return h.hexdigest()[:12]
+
+
 def synthesize_pdf_corpus(out_dir: str, n_docs: int = 64,
                           n_shards: int = 8) -> str:
-    """Deterministic corpus: doc i replicates reference PDF i%4."""
+    """Deterministic corpus: doc i replicates base document i%4, with
+    doc_id ``doc-%08d-<name>``."""
     os.makedirs(out_dir, exist_ok=True)
-    blobs = reference_pdf_bytes()
+    bases = base_documents()
     per_shard = (n_docs + n_shards - 1) // n_shards
     row = 0
     for shard in range(n_shards):
         ids, payloads, pages = [], [], []
         for _ in range(min(per_shard, n_docs - row)):
-            name, n_pages = _REF_DOCS[row % len(_REF_DOCS)]
-            ids.append(f"doc-{row:08d}-{name}")
-            payloads.append(blobs[name])
-            pages.append(n_pages)
+            base = bases[row % len(bases)]
+            ids.append(f"doc-{row:08d}-{base.name}")
+            payloads.append(base.pdf_bytes)
+            pages.append(base.n_pages)
             row += 1
         if not ids:
             break

@@ -26,7 +26,7 @@ def dirs(tmp_path_factory):
 
 def test_roundtrip_bytes_identical(ray_session, dirs):
     corpus, chunked = dirs
-    # 4 KB chunks: every corpus PDF (40-400 KB) becomes many real chunks
+    # 4 KB chunks: every corpus PDF (13-28 KB) becomes several real chunks
     write_chunked_corpus(corpus, chunked, chunk_bytes=4096)
     import ray.data
     orig = {r["doc_id"]: (r["pdf_bytes"], r["n_pages"])

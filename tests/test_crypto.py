@@ -1,9 +1,9 @@
 """Encrypted-PDF support: RC4 / AES-128 / AES-256 standard security
 handler (reference: CipherTransformFactory, pdf.combined.js:24425-26508).
 
-Fixtures are encrypted twins of the golden corpus produced by the engine's
-own re-writer (pdf/writer.py); the bar is span-sequence equality with the
-unencrypted original."""
+Fixtures are encrypted twins of the generated base documents of the
+corpus, produced by the engine's own re-writer (pdf/writer.py); the bar is
+span-sequence equality with the unencrypted original."""
 
 from __future__ import annotations
 
@@ -13,12 +13,14 @@ from iesl_pdf_to_text_ray.pdf.crypto import rc4
 from iesl_pdf_to_text_ray.pdf.extractor import extract_spans
 from iesl_pdf_to_text_ray.pdf.objects import PdfError
 from iesl_pdf_to_text_ray.pdf.writer import rewrite_pdf
-from iesl_pdf_to_text_ray.sources.corpus import reference_pdf_bytes
+from iesl_pdf_to_text_ray.sources.corpus import base_documents
+
+NAMES = [d.name for d in base_documents()]
 
 
 @pytest.fixture(scope="module")
 def golden_bytes():
-    return reference_pdf_bytes()
+    return {d.name: d.pdf_bytes for d in base_documents()}
 
 
 def test_rc4_kat():
@@ -30,14 +32,15 @@ def test_rc4_kat():
 
 @pytest.mark.parametrize("mode", [None, "rc4", "aesv2", "aesv3"])
 def test_encrypted_twin_spans_identical(golden_bytes, mode):
-    for name in ("1301.4293", "test25"):
+    for name in (NAMES[0], NAMES[3]):
         data = golden_bytes[name]
         twin = rewrite_pdf(data, encrypt=mode)
         assert extract_spans(twin) == extract_spans(data), (name, mode)
 
 
 def test_heavy_docs_roundtrip_rc4(golden_bytes):
-    for name in ("C04-1204", "test24"):
+    # the two largest base documents
+    for name in sorted(golden_bytes, key=lambda n: len(golden_bytes[n]))[-2:]:
         data = golden_bytes[name]
         twin = rewrite_pdf(data, encrypt="rc4")
         assert extract_spans(twin) == extract_spans(data), name
@@ -45,7 +48,7 @@ def test_heavy_docs_roundtrip_rc4(golden_bytes):
 
 @pytest.mark.parametrize("mode", ["rc4", "aesv2", "aesv3"])
 def test_user_password_required(golden_bytes, mode):
-    data = golden_bytes["1301.4293"]
+    data = golden_bytes[NAMES[0]]
     twin = rewrite_pdf(data, encrypt=mode, user_pwd=b"s3cret")
     # the handler authenticates (/U check, Algorithm 6 / 2.A): a wrong or
     # empty password raises instead of silently decrypting to garbage
@@ -61,8 +64,7 @@ def test_encrypted_through_ray_pipeline(ray_session, tmp_path):
 
     from iesl_pdf_to_text_ray.pipelines.extract_pipeline import extract_dataset
     from iesl_pdf_to_text_ray.sources.corpus import CORPUS_SCHEMA
-    blobs = reference_pdf_bytes()
-    plain = blobs["1301.4293"]
+    plain = base_documents()[0].pdf_bytes
     table = pa.table({
         "doc_id": ["plain", "enc-rc4", "enc-aesv3"],
         "pdf_bytes": [plain, rewrite_pdf(plain, encrypt="rc4"),

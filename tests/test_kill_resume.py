@@ -9,12 +9,14 @@ import signal
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
-RUNNER = """
+REPO = Path(__file__).resolve().parents[1]
+RUNNER = f"""
 import sys, ray
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, {str(REPO)!r})
 ray.init(address="local", num_cpus=4, include_dashboard=False)
 from iesl_pdf_to_text_ray.pipelines.extract_pipeline import extract_to_dir
 stats = extract_to_dir(sys.argv[1], sys.argv[2], concurrency=(1, 2),
@@ -36,7 +38,7 @@ def test_sigkill_mid_run_then_resume(tmp_path, ray_session):
 
     killed_out = str(tmp_path / "killed")
     proc = subprocess.Popen([sys.executable, "-c", RUNNER, corpus,
-                             killed_out], cwd="/root/repo",
+                             killed_out], cwd=REPO,
                             stdout=subprocess.DEVNULL,
                             stderr=subprocess.DEVNULL)
     # wait until some (but not all) partitions have completed, then SIGKILL

@@ -12,7 +12,8 @@ import pytest
 
 from iesl_pdf_to_text_ray.pdf.extractor import extract_media, extract_spans
 from iesl_pdf_to_text_ray.pdf.images import png_encode
-from iesl_pdf_to_text_ray.sources.corpus import reference_pdf_bytes
+from iesl_pdf_to_text_ray.sources.corpus import (base_documents,
+                                                 reference_pdf_bytes)
 
 
 def _parse_png(data: bytes):
@@ -60,7 +61,7 @@ def test_corpus_media_materializes(doc, expect_mime):
 
 
 def test_media_refs_join_spans():
-    data = reference_pdf_bytes()["test25"]
+    data = base_documents()[3].pdf_bytes
     span_refs = {s[2] for s in extract_spans(data) if s[0] == "media"}
     media_refs = {m["media_ref"] for m in extract_media(data)}
     # every materialized image is referenced by the span stream (the span

@@ -110,10 +110,18 @@ def test_large_pdf_shards_digest_equal_whole(big_pdf):
     assert stitched == whole
 
 
+def _write_base_documents(pdf_dir, n: int = 4) -> list[str]:
+    """The first ``n`` generated base documents as ``<name>.pdf`` files."""
+    from iesl_pdf_to_text_ray.sources.corpus import base_documents
+    pdf_dir.mkdir()
+    docs = base_documents()[:n]
+    for d in docs:
+        (pdf_dir / f"{d.name}.pdf").write_bytes(d.pdf_bytes)
+    return [d.name for d in docs]
+
+
 def test_ranged_pipeline_e2e(ray_session, tmp_path):
     """Raw-file dir -> ranged split pipeline == whole-doc pipeline."""
-    import shutil
-
     import ray.data
 
     from iesl_pdf_to_text_ray.pipelines.extract_pipeline import (
@@ -122,9 +130,7 @@ def test_ranged_pipeline_e2e(ray_session, tmp_path):
     from iesl_pdf_to_text_ray.stages.extract import spans_digest
 
     pdf_dir = tmp_path / "pdfs"
-    pdf_dir.mkdir()
-    for name in GOLDEN:
-        shutil.copy(f"{INPUT}/{name}.pdf", pdf_dir / f"{name}.pdf")
+    _write_base_documents(pdf_dir)
     ranged = {r["doc_id"]: spans_digest(r["spans"])
               for r in extract_pdf_dir_ranged(
                   str(pdf_dir), pages_per_shard=3,
@@ -143,8 +149,6 @@ def test_ranged_manifest_pipeline(ray_session, tmp_path):
     """A parquet manifest table (doc_id, path) fed as a Dataset through
     the same ranged stages == the directory-glob variant; the listing
     never has to touch the driver."""
-    import shutil
-
     import pyarrow as pa
     import pyarrow.parquet as pq
     import ray.data
@@ -154,15 +158,13 @@ def test_ranged_manifest_pipeline(ray_session, tmp_path):
     from iesl_pdf_to_text_ray.stages.extract import spans_digest
 
     pdf_dir = tmp_path / "pdfs"
-    pdf_dir.mkdir()
-    for name in GOLDEN[:2]:
-        shutil.copy(f"{INPUT}/{name}.pdf", pdf_dir / f"{name}.pdf")
+    names = _write_base_documents(pdf_dir, 2)
 
     manifest_path = tmp_path / "manifest.parquet"
     pq.write_table(pa.table({
-        "doc_id": pa.array(GOLDEN[:2], pa.string()),
+        "doc_id": pa.array(names, pa.string()),
         "path": pa.array([str(pdf_dir / f"{n}.pdf")
-                          for n in GOLDEN[:2]], pa.string())}),
+                          for n in names], pa.string())}),
         manifest_path)
 
     via_manifest = {r["doc_id"]: spans_digest(r["spans"])

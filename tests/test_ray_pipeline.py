@@ -9,12 +9,13 @@ import pytest
 from iesl_pdf_to_text_ray.functions.golden import parse_golden_spans
 from iesl_pdf_to_text_ray.pipelines.extract_pipeline import (
     extract_dataset, extract_to_dir, read_output)
-from iesl_pdf_to_text_ray.sources.corpus import synthesize_pdf_corpus
+from iesl_pdf_to_text_ray.sources.corpus import (base_documents,
+                                                 synthesize_pdf_corpus)
 from iesl_pdf_to_text_ray.state import lineage
 
 EXPECTED = "/root/reference/src/test/resources/output"
-GOLDEN_TEXT_COUNTS = {"1301.4293": 569, "C04-1204": 5603,
-                      "test24": 3543, "test25": 1313}
+# predicted text-span count of each generated base document
+GOLDEN_TEXT_COUNTS = {d.name: d.n_text for d in base_documents()}
 
 
 @pytest.fixture(scope="module")
@@ -36,8 +37,19 @@ def test_extract_dataset_end_to_end(ray_session, corpus_dir):
         assert [s["offset"] for s in row["spans"]] == list(range(len(row["spans"])))
 
 
-def test_extract_matches_golden_through_ray(ray_session, corpus_dir):
-    ds = extract_dataset(corpus_dir, concurrency=2, batch_size=4)
+def test_extract_matches_golden_through_ray(ray_session, tmp_path):
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from iesl_pdf_to_text_ray.sources.corpus import (CORPUS_SCHEMA,
+                                                     reference_pdf_bytes)
+    d = tmp_path / "test24"
+    d.mkdir()
+    pq.write_table(pa.table({
+        "doc_id": ["test24"], "pdf_bytes": [reference_pdf_bytes()["test24"]],
+        "n_pages": pa.array([12], pa.int32())}, schema=CORPUS_SCHEMA),
+        str(d / "part-00000.parquet"))
+    ds = extract_dataset(str(d), concurrency=2, batch_size=4)
     row = next(r for r in ds.take_all()
                if r["doc_id"].endswith("test24"))
     golden = parse_golden_spans(f"{EXPECTED}/test24.pdf.expected/tspan-texts.txt")
@@ -123,12 +135,8 @@ def test_monster_document_default_split(ray_session, tmp_path):
 
     from iesl_pdf_to_text_ray.pdf.extractor import count_pages
     from iesl_pdf_to_text_ray.pdf.writer import merge_pdfs
-    from iesl_pdf_to_text_ray.sources.corpus import (CORPUS_SCHEMA,
-                                                     reference_pdf_bytes)
-    blobs = reference_pdf_bytes()
-    monster = merge_pdfs(
-        [blobs[n] for n in ("1301.4293", "C04-1204", "test24", "test25")]
-        * 6)
+    from iesl_pdf_to_text_ray.sources.corpus import CORPUS_SCHEMA
+    monster = merge_pdfs([d.pdf_bytes for d in base_documents()] * 6)
     n_pages = count_pages(monster)
     assert n_pages == 180  # > default threshold of 64
     d = tmp_path / "monster"
@@ -155,10 +163,9 @@ def test_encrypted_monster_through_split(ray_session, tmp_path):
 
     from iesl_pdf_to_text_ray.pdf.extractor import count_pages
     from iesl_pdf_to_text_ray.pdf.writer import merge_pdfs, rewrite_pdf
-    from iesl_pdf_to_text_ray.sources.corpus import (CORPUS_SCHEMA,
-                                                     reference_pdf_bytes)
-    blobs = reference_pdf_bytes()
-    plain = merge_pdfs([blobs[n] for n in ("1301.4293", "test25")] * 3)
+    from iesl_pdf_to_text_ray.sources.corpus import CORPUS_SCHEMA
+    bases = base_documents()
+    plain = merge_pdfs([bases[0].pdf_bytes, bases[3].pdf_bytes] * 3)
     enc = rewrite_pdf(plain, encrypt="aesv2")
     n_pages = count_pages(enc)
     assert n_pages == 33
@@ -209,10 +216,8 @@ def test_truncation_fuzz_never_kills_block(ray_session, tmp_path):
     import pyarrow as pa
     import pyarrow.parquet as pq
 
-    from iesl_pdf_to_text_ray.sources.corpus import (CORPUS_SCHEMA,
-                                                     reference_pdf_bytes)
-    blobs = reference_pdf_bytes()
-    base = blobs["1301.4293"]
+    from iesl_pdf_to_text_ray.sources.corpus import CORPUS_SCHEMA
+    base = base_documents()[0].pdf_bytes
     rows = {"doc_id": [], "pdf_bytes": [], "n_pages": []}
     cuts = [len(base) // d for d in (2, 3, 5, 9, 17, 33)] + [64, 1024]
     for i, cut in enumerate(cuts):
@@ -245,12 +250,11 @@ def test_poison_document_quarantined(ray_session, tmp_path):
     import pyarrow as pa
     import pyarrow.parquet as pq
     import ray.data
-    from iesl_pdf_to_text_ray.sources.corpus import (CORPUS_SCHEMA,
-                                                     reference_pdf_bytes)
-    blobs = reference_pdf_bytes()
+    from iesl_pdf_to_text_ray.sources.corpus import CORPUS_SCHEMA
     table = pa.table({
         "doc_id": ["good", "poison", "empty"],
-        "pdf_bytes": [blobs["1301.4293"], b"%PDF-1.4 garbage no xref", b""],
+        "pdf_bytes": [base_documents()[0].pdf_bytes,
+                      b"%PDF-1.4 garbage no xref", b""],
         "n_pages": pa.array([4, 1, 0], pa.int32())}, schema=CORPUS_SCHEMA)
     d = tmp_path / "poison"
     d.mkdir()
@@ -265,12 +269,11 @@ def test_poison_document_quarantined(ray_session, tmp_path):
 def test_raw_pdf_file_source(ray_session, tmp_path):
     """read_pdf_files: a directory tree of raw PDFs becomes the corpus
     schema and flows through the extraction pipeline."""
-    from iesl_pdf_to_text_ray.sources.corpus import (read_pdf_files,
-                                                     reference_pdf_bytes)
-    blobs = reference_pdf_bytes()
+    from iesl_pdf_to_text_ray.sources.corpus import read_pdf_files
+    bases = base_documents()
     (tmp_path / "sub").mkdir()
-    (tmp_path / "a.pdf").write_bytes(blobs["1301.4293"])
-    (tmp_path / "sub" / "b.pdf").write_bytes(blobs["test25"])
+    (tmp_path / "a.pdf").write_bytes(bases[0].pdf_bytes)
+    (tmp_path / "sub" / "b.pdf").write_bytes(bases[3].pdf_bytes)
     (tmp_path / "ignore.txt").write_text("not a pdf")
     ds = read_pdf_files(str(tmp_path))
     rows = {r["doc_id"]: r for r in ds.take_all()}

@@ -278,6 +278,7 @@ def test_extract_job_entrypoint_resumes(tmp_path):
     import os
     import subprocess
     import sys as _sys
+    from pathlib import Path
     from iesl_pdf_to_text_ray.sources.corpus import synthesize_pdf_corpus
 
     corpus = tmp_path / "corpus"
@@ -290,7 +291,8 @@ def test_extract_job_entrypoint_resumes(tmp_path):
             [_sys.executable, "-m",
              "iesl_pdf_to_text_ray.jobs.extract_job",
              "--input", str(corpus), "--output", str(out)],
-            capture_output=True, text=True, cwd="/root/repo", env=env,
+            capture_output=True, text=True,
+            cwd=Path(__file__).resolve().parents[1], env=env,
             timeout=240)
         assert p.returncode == 0, p.stderr[-500:]
         runs.append(json.loads(p.stdout.strip().splitlines()[-1]))

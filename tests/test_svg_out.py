@@ -7,14 +7,19 @@ from __future__ import annotations
 
 import re
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
 from iesl_pdf_to_text_ray.functions.golden import parse_golden_spans
 from iesl_pdf_to_text_ray.pdf.extractor import extract_svg
-from iesl_pdf_to_text_ray.sources.corpus import reference_pdf_bytes
+from iesl_pdf_to_text_ray.sources.corpus import (base_documents,
+                                                 reference_pdf_bytes)
 
 EXPECTED = "/root/reference/src/test/resources/output"
+REPO = Path(__file__).resolve().parents[1]
+# a 4-page generated base document; its span counts are predicted
+DOC = base_documents()[0]
 SVGNS = "{http://www.w3.org/2000/svg}"
 
 
@@ -33,7 +38,7 @@ def test_svg_tspan_texts_match_golden(doc):
 
 
 def test_svg_x_arrays_and_fonts():
-    data = reference_pdf_bytes()["1301.4293"]
+    data = DOC.pdf_bytes
     svg = extract_svg(data)
     saw_sentinel = saw_font = 0
     for t in _tspans(svg):
@@ -55,14 +60,14 @@ def test_svg_x_arrays_and_fonts():
 
 
 def test_svg_per_page_groups():
-    data = reference_pdf_bytes()["1301.4293"]
+    data = DOC.pdf_bytes
     svg = extract_svg(data)
     root = ET.fromstring(svg)
     pages = [g for g in root.findall(f"{SVGNS}g")
              if g.get("data-page") is not None]
     assert len(pages) == 4
     # media placeholders interleave in content order
-    assert len(list(root.iter(f"{SVGNS}image"))) == 11
+    assert len(list(root.iter(f"{SVGNS}image"))) == DOC.n_media
 
 
 def test_cli_svg_sink(tmp_path):
@@ -70,12 +75,12 @@ def test_cli_svg_sink(tmp_path):
     import sys
     src = tmp_path / "in"
     src.mkdir()
-    (src / "doc.pdf").write_bytes(reference_pdf_bytes()["1301.4293"])
+    (src / "doc.pdf").write_bytes(DOC.pdf_bytes)
     out = tmp_path / "svg"
     r = subprocess.run(
         [sys.executable, "-m", "iesl_pdf_to_text_ray", "-i", str(src),
          "-o", str(out), "-f", "svg", "-p"],
-        capture_output=True, cwd="/root/repo")
+        capture_output=True, cwd=REPO)
     assert r.returncode == 0, r.stderr.decode()[:500]
     files = sorted(p.name for p in out.iterdir())
     assert files == [f"doc-p{i}.svg" for i in range(4)]
