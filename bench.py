@@ -46,13 +46,8 @@ def host_speed_probe() -> dict:
 
 
 def _corpus(n_docs: int) -> str:
-    from iesl_pdf_to_text_ray.sources.corpus import (base_documents_digest,
-                                                     synthesize_pdf_corpus)
-    d = f"/tmp/graft_bench_corpus/n{n_docs}_{base_documents_digest()}"
-    if not os.path.exists(os.path.join(d, "part-00000.parquet")):
-        synthesize_pdf_corpus(d, n_docs=n_docs,
-                              n_shards=max(8, n_docs // 16))
-    return d
+    from __ray_entry__ import _corpus_dir
+    return _corpus_dir(n_docs, max(8, n_docs // 16))
 
 
 def run_extract(num_cpus: int, n_docs: int) -> dict:
@@ -128,7 +123,8 @@ def main():
             env = dict(os.environ, RAY_GRAFT_CPUS=str(cpus))
             proc = subprocess.run(
                 [sys.executable, __file__, "--_extract-only"],
-                env=env, capture_output=True, text=True, cwd="/root/repo")
+                env=env, capture_output=True, text=True,
+                cwd=os.path.dirname(os.path.abspath(__file__)))
             line = proc.stdout.strip().splitlines()[-1]
             results[cpus] = json.loads(line)
         r_lo, r_hi = results[n_lo], results[n_hi]

@@ -10,9 +10,10 @@ fixed-size multi-node cluster, resumable from per-partition lineage:
             --split-pages
 
 The job body is ``extract_to_dir`` (pipelines/extract_pipeline.py):
-streaming read of the corpus shards, actor-pool parse, optional
-page-level skew split, groupby(partition_id) atomic parquet writes
-with `_lineage/partition=*.json` records.  Re-submitting after a kill
+one actor task per pending corpus shard that parses it and writes its
+parquet atomically with a `_lineage/partition=*.json` record (with the
+optional page-level skew split: groupby(partition_id) writes after the
+doc_id reassembly).  Re-submitting after a kill
 skips completed partitions (tests/test_kill_resume.py).
 
 ray.init is guarded: under ``ray job submit`` the cluster address comes

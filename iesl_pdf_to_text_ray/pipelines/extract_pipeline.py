@@ -2,12 +2,16 @@
 
 Ray-Data-native topology (streaming end to end, SURVEY.md §7):
 
-  read_parquet(pending shards, include_paths)       # prune at the read
-    -> map_batches(ExtractDocs, actor pool)         # stateful parse stage
-    -> groupby(partition_id).map_groups(writer)     # per-partition atomic
-                                                    # output + lineage
+  extract_dataset:
+    read_parquet(corpus shards)
+      -> map_batches(ExtractDocs, actor pool)       # stateful parse stage
+  extract_to_dir (resumable):
+    from_items(pending shard paths)
+      -> map_batches(ExtractPartitions, actor pool) # parse one shard, write
+                                                    # its parquet + lineage
   (skew path) split_tasks -> map_batches(ExtractShards)
     -> groupby(doc_id).map_groups(reassemble)       # the one ordering shuffle
+    [extract_to_dir: -> groupby(partition_id).map_groups(writer)]
 
 Resume: completed partitions are anti-joined away from the input file list
 before anything is read (state/lineage.py).
@@ -80,7 +84,9 @@ def extract_to_dir(corpus_dir: str, out_dir: str, *, concurrency=None,
                    pages_per_shard: int | None = None) -> dict:
     """Resumable run: skip completed partitions, write parquet + lineage.
 
-    ``split_pages=True`` routes pathological documents through the
+    Without the skew split, one actor task parses one pending input shard
+    and writes it at once, so partitions complete one by one while the
+    run goes on.  ``split_pages=True`` routes pathological documents through the
     page-level skew split while keeping per-partition resume: the
     partition id (derived from the input file) rides along the shard rows
     and the doc_id reassembly, so a killed run still skips finished
@@ -93,6 +99,7 @@ def extract_to_dir(corpus_dir: str, out_dir: str, *, concurrency=None,
         concurrency = (1, 8)
 
     os.makedirs(out_dir, exist_ok=True)
+    lineage.remove_stray_temps(out_dir)
     shards = _input_shards(corpus_dir)
     done = lineage.completed_partitions(out_dir)
     pending = [f for f in shards
@@ -103,59 +110,104 @@ def extract_to_dir(corpus_dir: str, out_dir: str, *, concurrency=None,
     if not pending:
         return stats
 
+    if not split_pages:
+        # one task per pending shard: it parses the shard and writes its
+        # parquet + lineage itself, so each partition lands as soon as its
+        # own documents are parsed (a killed run keeps what it finished)
+        ds = ray.data.from_items([{"path": p} for p in pending],
+                                 override_num_blocks=len(pending))
+        manifest = ds.map_batches(
+            ExtractPartitions, batch_format="pyarrow", batch_size=1,
+            concurrency=concurrency,
+            fn_constructor_kwargs={"out_dir": out_dir,
+                                   "batch_size": batch_size}).take_all()
+        return _add_manifest(stats, manifest)
+
     def tag_partition(batch: pa.Table) -> pa.Table:
         pids = [lineage.partition_id_for(p)
                 for p in batch.column("path").to_pylist()]
         return batch.append_column("partition_id",
                                    pa.array(pids, pa.string()))
 
-    if split_pages:
-        threshold = (ex.SPLIT_PAGE_THRESHOLD if split_threshold is None
-                     else split_threshold)
-        per_shard = (ex.PAGES_PER_SHARD if pages_per_shard is None
-                     else pages_per_shard)
-        ds = ray.data.read_parquet(pending, columns=["doc_id", "n_pages"],
-                                   include_paths=True)
-        ds = ds.map_batches(tag_partition, batch_format="pyarrow")
-        ds = ds.map_batches(
-            functools.partial(split_tasks, threshold=threshold,
-                              pages_per_shard=per_shard),
-            batch_format="pyarrow", batch_size=batch_size)
-        ds = ds.map_batches(ExtractShards, batch_format="pyarrow",
-                            batch_size=batch_size, concurrency=concurrency)
-        ds = ds.groupby("doc_id").map_groups(reassemble_groups,
-                                             batch_format="pyarrow")
-    else:
-        ds = ray.data.read_parquet(pending, include_paths=True)
-        ds = ds.map_batches(
-            lambda b: tag_partition(b).drop_columns(["path"]),
-            batch_format="pyarrow")
-        ds = ds.map_batches(ExtractDocs, batch_format="pyarrow",
-                            batch_size=batch_size, concurrency=concurrency)
+    threshold = (ex.SPLIT_PAGE_THRESHOLD if split_threshold is None
+                 else split_threshold)
+    per_shard = (ex.PAGES_PER_SHARD if pages_per_shard is None
+                 else pages_per_shard)
+    ds = ray.data.read_parquet(pending, columns=["doc_id", "n_pages"],
+                               include_paths=True)
+    ds = ds.map_batches(tag_partition, batch_format="pyarrow")
+    ds = ds.map_batches(
+        functools.partial(split_tasks, threshold=threshold,
+                          pages_per_shard=per_shard),
+        batch_format="pyarrow", batch_size=batch_size)
+    ds = ds.map_batches(ExtractShards, batch_format="pyarrow",
+                        batch_size=batch_size, concurrency=concurrency)
+    ds = ds.groupby("doc_id").map_groups(reassemble_groups,
+                                         batch_format="pyarrow")
 
-    def write_group_bound(group: pa.Table) -> pa.Table:
+    def write_group(group: pa.Table) -> pa.Table:
         pid = group.column("partition_id")[0].as_py()
-        table = group.drop_columns(["partition_id"])
-        spans_col = table.column("spans").to_pylist()
-        digest = spans_digest([s for row in spans_col for s in row])
-        n_docs = table.num_rows
-        n_spans = sum(len(r) for r in spans_col)
-        n_errors = sum(1 for e in table.column("error").to_pylist() if e)
-        lineage.write_partition(out_dir, pid, table,
-                                {"n_docs": n_docs, "n_spans": n_spans,
-                                 "n_errors": n_errors, "digest": digest})
-        return pa.table({"partition_id": pa.array([pid], pa.string()),
-                         "n_docs": pa.array([n_docs], pa.int64()),
-                         "n_spans": pa.array([n_spans], pa.int64()),
-                         "n_errors": pa.array([n_errors], pa.int64())})
+        return _write_partition(out_dir, pid,
+                                group.drop_columns(["partition_id"]))
 
+    # a document's shards meet only after the doc_id reassembly, so this
+    # path writes its partitions after that shuffle
     manifest = (ds.groupby("partition_id")
-                .map_groups(write_group_bound, batch_format="pyarrow")
+                .map_groups(write_group, batch_format="pyarrow")
                 .take_all())
+    return _add_manifest(stats, manifest)
+
+
+def _write_partition(out_dir: str, pid: str, table: pa.Table) -> pa.Table:
+    """Write one partition's span rows + lineage record; returns its
+    one-row manifest."""
+    spans_col = table.column("spans").to_pylist()
+    digest = spans_digest([s for row in spans_col for s in row])
+    n_docs = table.num_rows
+    n_spans = sum(len(r) for r in spans_col)
+    n_errors = sum(1 for e in table.column("error").to_pylist() if e)
+    lineage.write_partition(out_dir, pid, table,
+                            {"n_docs": n_docs, "n_spans": n_spans,
+                             "n_errors": n_errors, "digest": digest})
+    return pa.table({"partition_id": pa.array([pid], pa.string()),
+                     "n_docs": pa.array([n_docs], pa.int64()),
+                     "n_spans": pa.array([n_spans], pa.int64()),
+                     "n_errors": pa.array([n_errors], pa.int64())})
+
+
+def _add_manifest(stats: dict, manifest: list[dict]) -> dict:
     stats["n_docs"] = sum(r["n_docs"] for r in manifest)
     stats["n_spans"] = sum(r["n_spans"] for r in manifest)
     stats["n_errors"] = sum(r["n_errors"] for r in manifest)
     return stats
+
+
+class ExtractPartitions:
+    """map_batches(ExtractPartitions, batch_size=1, ...) over rows of
+    ``path``: parses each input shard in batches of ``batch_size``
+    documents and writes it as one output partition."""
+
+    def __init__(self, out_dir: str, batch_size: int):
+        self._extract = ExtractDocs()
+        self._out_dir = out_dir
+        self._batch_size = batch_size
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        import pyarrow.parquet as pq
+        out = []
+        for path in batch.column("path").to_pylist():
+            shard = pq.ParquetFile(path)
+            cols = ["doc_id", "pdf_bytes"]
+            parts = [self._extract(pa.Table.from_batches([b]))
+                     for b in shard.iter_batches(
+                         batch_size=self._batch_size, columns=cols)]
+            if not parts:   # an empty shard still completes
+                parts = [self._extract(
+                    shard.schema_arrow.empty_table().select(cols))]
+            out.append(_write_partition(self._out_dir,
+                                        lineage.partition_id_for(path),
+                                        pa.concat_tables(parts)))
+        return pa.concat_tables(out)
 
 
 def read_output(out_dir: str):

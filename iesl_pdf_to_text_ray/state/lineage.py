@@ -67,6 +67,21 @@ def write_partition(out_dir: str, pid: str, table, record: dict) -> None:
     os.replace(ltmp, lpath)
 
 
+def remove_stray_temps(out_dir: str) -> list[str]:
+    """Delete the ``*.tmp.<pid>`` files a killed writer left in the data
+    and lineage dirs; returns their names.  Only for when no writer runs
+    on ``out_dir`` (a resumed run calls it before it starts writing)."""
+    removed = []
+    for d in (out_dir, lineage_dir(out_dir)):
+        if not os.path.isdir(d):
+            continue
+        for name in os.listdir(d):
+            if ".tmp." in name:
+                os.remove(os.path.join(d, name))
+                removed.append(name)
+    return removed
+
+
 def read_lineage(out_dir: str) -> list[dict]:
     out = []
     ldir = lineage_dir(out_dir)

@@ -13,9 +13,14 @@ from iesl_pdf_to_text_ray.pdf.crypto import rc4
 from iesl_pdf_to_text_ray.pdf.extractor import extract_spans
 from iesl_pdf_to_text_ray.pdf.objects import PdfError
 from iesl_pdf_to_text_ray.pdf.writer import rewrite_pdf
-from iesl_pdf_to_text_ray.sources.corpus import base_documents
+from iesl_pdf_to_text_ray.sources.corpus import (base_documents,
+                                                 reference_pdfs_if_present)
+from iesl_pdf_to_text_ray.sources.pdfgen import make_document
 
 NAMES = [d.name for d in base_documents()]
+# where the reference regression PDFs are present, they run too: embedded
+# font programs, a DCT image and hundreds of KB of real-world streams
+REFERENCE = reference_pdfs_if_present()
 
 
 @pytest.fixture(scope="module")
@@ -32,16 +37,21 @@ def test_rc4_kat():
 
 @pytest.mark.parametrize("mode", [None, "rc4", "aesv2", "aesv3"])
 def test_encrypted_twin_spans_identical(golden_bytes, mode):
-    for name in (NAMES[0], NAMES[3]):
-        data = golden_bytes[name]
+    docs = {n: golden_bytes[n] for n in (NAMES[0], NAMES[3])}
+    docs.update((n, REFERENCE[n]) for n in ("1301.4293", "test25")
+                if n in REFERENCE)
+    for name, data in docs.items():
         twin = rewrite_pdf(data, encrypt=mode)
         assert extract_spans(twin) == extract_spans(data), (name, mode)
 
 
-def test_heavy_docs_roundtrip_rc4(golden_bytes):
-    # the two largest base documents
-    for name in sorted(golden_bytes, key=lambda n: len(golden_bytes[n]))[-2:]:
-        data = golden_bytes[name]
+def test_heavy_docs_roundtrip_rc4():
+    big, _ = make_document(105, 60)
+    assert len(big) > 100_000  # a 60-page generated paper
+    docs = {"gen-60p": big}
+    docs.update((n, REFERENCE[n]) for n in ("C04-1204", "test24")
+                if n in REFERENCE)
+    for name, data in docs.items():
         twin = rewrite_pdf(data, encrypt="rc4")
         assert extract_spans(twin) == extract_spans(data), name
 

@@ -10,6 +10,7 @@ from iesl_pdf_to_text_ray.functions.golden import parse_golden_spans
 from iesl_pdf_to_text_ray.pipelines.extract_pipeline import (
     extract_dataset, extract_to_dir, read_output)
 from iesl_pdf_to_text_ray.sources.corpus import (base_documents,
+                                                 reference_pdfs_if_present,
                                                  synthesize_pdf_corpus)
 from iesl_pdf_to_text_ray.state import lineage
 
@@ -22,6 +23,22 @@ GOLDEN_TEXT_COUNTS = {d.name: d.n_text for d in base_documents()}
 def corpus_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("corpus")
     return synthesize_pdf_corpus(str(d), n_docs=12, n_shards=4)
+
+
+def _one_file_corpus(d, docs: dict) -> str:
+    """``docs`` ({doc_id: pdf bytes}) as a one-shard corpus in ``d``."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from iesl_pdf_to_text_ray.pdf.extractor import count_pages
+    from iesl_pdf_to_text_ray.sources.corpus import CORPUS_SCHEMA
+    d.mkdir()
+    pq.write_table(pa.table({
+        "doc_id": list(docs), "pdf_bytes": list(docs.values()),
+        "n_pages": pa.array([count_pages(b) for b in docs.values()],
+                            pa.int32())}, schema=CORPUS_SCHEMA),
+        str(d / "part-00000.parquet"))
+    return str(d)
 
 
 def test_extract_dataset_end_to_end(ray_session, corpus_dir):
@@ -57,19 +74,25 @@ def test_extract_matches_golden_through_ray(ray_session, tmp_path):
     assert texts == golden
 
 
-def test_page_split_reassembly_identical(ray_session, corpus_dir):
+def test_page_split_reassembly_identical(ray_session, corpus_dir, tmp_path):
     """Skew path must give byte-identical spans to the whole-doc path.
     threshold=2 + pages_per_shard=3 forces every corpus doc (4-12 pp)
-    through genuine multi-shard reassembly."""
-    ds = extract_dataset(corpus_dir, concurrency=2, batch_size=4,
-                         split_pages=True, split_threshold=2,
-                         pages_per_shard=3)
-    split_rows = {r["doc_id"]: r["spans"] for r in ds.take_all()}
-    ds2 = extract_dataset(corpus_dir, concurrency=2, batch_size=4)
-    whole_rows = {r["doc_id"]: r["spans"] for r in ds2.take_all()}
-    assert split_rows.keys() == whole_rows.keys()
-    for doc_id in whole_rows:
-        assert split_rows[doc_id] == whole_rows[doc_id], doc_id
+    through genuine multi-shard reassembly.  Where the reference PDFs are
+    present, they run as a second corpus."""
+    corpora = [corpus_dir]
+    reference = reference_pdfs_if_present()
+    if reference:
+        corpora.append(_one_file_corpus(tmp_path / "reference", reference))
+    for corpus in corpora:
+        ds = extract_dataset(corpus, concurrency=2, batch_size=4,
+                             split_pages=True, split_threshold=2,
+                             pages_per_shard=3)
+        split_rows = {r["doc_id"]: r["spans"] for r in ds.take_all()}
+        ds2 = extract_dataset(corpus, concurrency=2, batch_size=4)
+        whole_rows = {r["doc_id"]: r["spans"] for r in ds2.take_all()}
+        assert split_rows.keys() == whole_rows.keys()
+        for doc_id in whole_rows:
+            assert split_rows[doc_id] == whole_rows[doc_id], doc_id
 
 
 def test_split_tasks_shards_by_pointer(corpus_dir):
@@ -124,6 +147,23 @@ def test_resume_skips_completed_partitions(ray_session, corpus_dir, tmp_path):
     # idempotent third run: nothing to do
     stats3 = extract_to_dir(corpus_dir, out_dir)
     assert stats3["partitions_run"] == 0
+
+
+def test_remove_stray_temps(tmp_path):
+    """Temp files of a writer killed mid-partition are swept; finished
+    partitions are kept."""
+    import pyarrow as pa
+    out_dir = str(tmp_path / "out")
+    lineage.write_partition(out_dir, "part-00000",
+                            pa.table({"x": [1]}), {"n_docs": 1})
+    strays = ["part-part-00001.parquet.tmp.123",
+              "_lineage/partition=part-00001.json.tmp.123"]
+    for name in strays:
+        (tmp_path / "out" / name).write_bytes(b"partial")
+    assert sorted(lineage.remove_stray_temps(out_dir)) == sorted(
+        os.path.basename(n) for n in strays)
+    assert not any((tmp_path / "out" / n).exists() for n in strays)
+    assert lineage.completed_partitions(out_dir) == {"part-00000"}
 
 
 def test_monster_document_default_split(ray_session, tmp_path):
@@ -217,20 +257,24 @@ def test_truncation_fuzz_never_kills_block(ray_session, tmp_path):
     import pyarrow.parquet as pq
 
     from iesl_pdf_to_text_ray.sources.corpus import CORPUS_SCHEMA
-    base = base_documents()[0].pdf_bytes
+    # doc-id prefix -> source PDF; the reference paper runs where present
+    bases = {"": base_documents()[0].pdf_bytes}
+    bases.update((f"{n}-", b) for n, b in reference_pdfs_if_present().items()
+                 if n == "1301.4293")
     rows = {"doc_id": [], "pdf_bytes": [], "n_pages": []}
-    cuts = [len(base) // d for d in (2, 3, 5, 9, 17, 33)] + [64, 1024]
-    for i, cut in enumerate(cuts):
-        rows["doc_id"].append(f"trunc-{i}")
-        rows["pdf_bytes"].append(base[:cut])
-        rows["n_pages"].append(1)
-    for i in range(4):  # bit-flip corruption in the body
-        data = bytearray(base)
-        for off in range(100 + i * 997, len(data), 4099):
-            data[off] ^= 0xFF
-        rows["doc_id"].append(f"corrupt-{i}")
-        rows["pdf_bytes"].append(bytes(data))
-        rows["n_pages"].append(4)
+    for prefix, base in bases.items():
+        cuts = [len(base) // d for d in (2, 3, 5, 9, 17, 33)] + [64, 1024]
+        for i, cut in enumerate(cuts):
+            rows["doc_id"].append(f"{prefix}trunc-{i}")
+            rows["pdf_bytes"].append(base[:cut])
+            rows["n_pages"].append(1)
+        for i in range(4):  # bit-flip corruption in the body
+            data = bytearray(base)
+            for off in range(100 + i * 997, len(data), 4099):
+                data[off] ^= 0xFF
+            rows["doc_id"].append(f"{prefix}corrupt-{i}")
+            rows["pdf_bytes"].append(bytes(data))
+            rows["n_pages"].append(4)
     d = tmp_path / "fuzz"
     d.mkdir()
     pq.write_table(pa.table({

@@ -7,9 +7,10 @@ against the golden tspan-texts file.  Validates the span-emission contract
 from __future__ import annotations
 
 import json
+import os
 import sys
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 from iesl_pdf_to_text_ray.functions.golden import parse_golden_spans
 from iesl_pdf_to_text_ray.functions.span_builder import SpanBuilder
