@@ -22,45 +22,40 @@ _CORPUS_CACHE = "/tmp/graft_corpus_cache"
 
 
 def _corpus_dir(n_docs: int = 16, n_shards: int = 4) -> str:
-    """Cached generated PDF corpus.  The directory is keyed by a digest of
+    """Cached generated PDF corpus, keyed by its shape and a digest of
     the base documents, so a corpus from another generator is never
-    reused, and is written under a temporary name and renamed into place,
-    so a half-written one is never seen."""
-    import shutil
-    import tempfile
-
+    reused (``corpus.cached_dir``: never seen half-written)."""
     from iesl_pdf_to_text_ray.sources.corpus import (base_documents_digest,
+                                                     cached_dir,
                                                      synthesize_pdf_corpus)
-    d = os.path.join(_CORPUS_CACHE,
-                     f"n{n_docs}_s{n_shards}_{base_documents_digest()}")
-    if not os.path.isdir(d):
-        os.makedirs(_CORPUS_CACHE, exist_ok=True)
-        tmp = tempfile.mkdtemp(dir=_CORPUS_CACHE, prefix=".tmp-")
-        synthesize_pdf_corpus(tmp, n_docs=n_docs, n_shards=n_shards)
-        try:
-            os.rename(tmp, d)
-        except OSError:     # another process renamed its copy first
-            shutil.rmtree(tmp, ignore_errors=True)
-    return d
+    return cached_dir(
+        os.path.join(_CORPUS_CACHE,
+                     f"n{n_docs}_s{n_shards}_{base_documents_digest()}"),
+        lambda d: synthesize_pdf_corpus(d, n_docs=n_docs,
+                                        n_shards=n_shards))
+
+
+def _summarize(ds, digest, cols=("n_spans", "n_text", "n_media")):
+    """One row per document: doc_id, the count columns ``cols`` and the
+    ``digest`` of its span sequence."""
+    import pyarrow as pa
+
+    def summarize(batch: pa.Table) -> pa.Table:
+        return pa.table({
+            "doc_id": batch.column("doc_id").cast(pa.string()),
+            **{c: batch.column(c).cast(pa.int32()) for c in cols},
+            "digest": pa.array([digest(s) for s in
+                                batch.column("spans").to_pylist()],
+                               pa.string())})
+    return ds.map_batches(summarize, batch_format="pyarrow")
 
 
 def extract_corpus_query(sf_dir: str):
     """Flagship: PDF bytes -> spans via the actor-pool pipeline."""
     from iesl_pdf_to_text_ray.pipelines.extract_pipeline import extract_dataset
-    import pyarrow as pa
     from iesl_pdf_to_text_ray.stages.extract import spans_digest
-    ds = extract_dataset(_corpus_dir(), concurrency=(1, 8), batch_size=2)
-
-    def summarize(batch: pa.Table) -> pa.Table:
-        rows = batch.to_pylist()
-        return pa.table({
-            "doc_id": pa.array([r["doc_id"] for r in rows], pa.string()),
-            "n_spans": pa.array([r["n_spans"] for r in rows], pa.int32()),
-            "n_text": pa.array([r["n_text"] for r in rows], pa.int32()),
-            "n_media": pa.array([r["n_media"] for r in rows], pa.int32()),
-            "digest": pa.array([spans_digest(r["spans"]) for r in rows],
-                               pa.string())})
-    return ds.map_batches(summarize, batch_format="pyarrow")
+    return _summarize(extract_dataset(_corpus_dir(), concurrency=(1, 8),
+                                      batch_size=2), spans_digest)
 
 
 def extract_html_corpus_query(sf_dir: str):
@@ -70,24 +65,13 @@ def extract_html_corpus_query(sf_dir: str):
     operators run unchanged on web documents.  Rows-only (DuckDB has no
     HTML parser); exact span recovery is pinned in
     tests/test_html_extract.py."""
-    import pyarrow as pa
     from iesl_pdf_to_text_ray.sources.html_corpus import \
         cached_html_corpus
     from iesl_pdf_to_text_ray.stages.html_extract import (
         extract_html_dataset, spans_digest)
     d = cached_html_corpus(_CORPUS_CACHE, n_docs=32, n_shards=4)
-    ds = extract_html_dataset(d, concurrency=(1, 4), batch_size=8)
-
-    def summarize(batch: pa.Table) -> pa.Table:
-        rows = batch.to_pylist()
-        return pa.table({
-            "doc_id": pa.array([r["doc_id"] for r in rows], pa.string()),
-            "n_spans": pa.array([r["n_spans"] for r in rows], pa.int32()),
-            "n_text": pa.array([r["n_text"] for r in rows], pa.int32()),
-            "n_media": pa.array([r["n_media"] for r in rows], pa.int32()),
-            "digest": pa.array([spans_digest(r["spans"]) for r in rows],
-                               pa.string())})
-    return ds.map_batches(summarize, batch_format="pyarrow")
+    return _summarize(extract_html_dataset(d, concurrency=(1, 4),
+                                           batch_size=8), spans_digest)
 
 
 def extract_corpus_ranged_query(sf_dir: str):
@@ -96,32 +80,25 @@ def extract_corpus_ranged_query(sf_dir: str):
     disk -> pointer-only shard rows -> ChunkedData range fetches inside
     ExtractShards -> reassembly.  No actor ever holds a whole payload;
     digests equal extract_corpus (pinned in tests/test_ranged.py)."""
-    import pyarrow as pa
     from iesl_pdf_to_text_ray.pipelines.extract_pipeline import \
         extract_pdf_dir_ranged
     from iesl_pdf_to_text_ray.sources.corpus import (base_documents,
-                                                     base_documents_digest)
+                                                     base_documents_digest,
+                                                     cached_dir)
     from iesl_pdf_to_text_ray.stages.extract import spans_digest
-    pdf_dir = f"/tmp/graft_ranged_corpus_{base_documents_digest()}"
-    if not os.path.exists(os.path.join(pdf_dir, "_done")):
-        os.makedirs(pdf_dir, exist_ok=True)
+
+    def write_pdfs(pdf_dir: str) -> None:
         for doc in base_documents():
             for copy in range(4):
                 with open(os.path.join(pdf_dir, f"doc-{copy}-{doc.name}.pdf"),
                           "wb") as f:
                     f.write(doc.pdf_bytes)
-        open(os.path.join(pdf_dir, "_done"), "w").close()
-    ds = extract_pdf_dir_ranged(pdf_dir, concurrency=(1, 8),
-                                pages_per_shard=4)
 
-    def summarize(batch: pa.Table) -> pa.Table:
-        rows = batch.to_pylist()
-        return pa.table({
-            "doc_id": pa.array([r["doc_id"] for r in rows], pa.string()),
-            "n_spans": pa.array([r["n_spans"] for r in rows], pa.int32()),
-            "digest": pa.array([spans_digest(r["spans"]) for r in rows],
-                               pa.string())})
-    return ds.map_batches(summarize, batch_format="pyarrow")
+    pdf_dir = cached_dir(os.path.join(
+        _CORPUS_CACHE, f"ranged_{base_documents_digest()}"), write_pdfs)
+    return _summarize(extract_pdf_dir_ranged(pdf_dir, concurrency=(1, 8),
+                                             pages_per_shard=4),
+                      spans_digest, cols=("n_spans",))
 
 
 def pdf_metadata_query(sf_dir: str):
@@ -171,23 +148,12 @@ def extract_corpus_split_query(sf_dir: str):
     reassembly); must agree with extract_corpus row-for-row.  Returns the
     lazy Dataset — the threshold travels as a UDF parameter, so no global
     mutation and no driver-side materialization."""
-    import pyarrow as pa
     from iesl_pdf_to_text_ray.pipelines.extract_pipeline import extract_dataset
     from iesl_pdf_to_text_ray.stages.extract import spans_digest
     ds = extract_dataset(_corpus_dir(), concurrency=(1, 8), batch_size=2,
                          split_pages=True,
                          split_threshold=4)  # force sharding on 4-12pp docs
-
-    def summarize(batch: pa.Table) -> pa.Table:
-        rows = batch.to_pylist()
-        return pa.table({
-            "doc_id": pa.array([r["doc_id"] for r in rows], pa.string()),
-            "n_spans": pa.array([r["n_spans"] for r in rows], pa.int32()),
-            "n_text": pa.array([r["n_text"] for r in rows], pa.int32()),
-            "n_media": pa.array([r["n_media"] for r in rows], pa.int32()),
-            "digest": pa.array([spans_digest(r["spans"]) for r in rows],
-                               pa.string())})
-    return ds.map_batches(summarize, batch_format="pyarrow")
+    return _summarize(ds, spans_digest)
 
 
 def extract_corpus_chunked_query(sf_dir: str):
@@ -195,29 +161,19 @@ def extract_corpus_chunked_query(sf_dir: str):
     the ChunkedStream analog): corpus -> bounded chunk rows -> shuffle
     reassembly -> the same extraction stage; digest-comparable with
     extract_corpus."""
-    import pyarrow as pa
     from iesl_pdf_to_text_ray.pipelines.extract_pipeline import \
         extract_dataset
     from iesl_pdf_to_text_ray.sources.chunked import (
         read_chunked_corpus, write_chunked_corpus)
+    from iesl_pdf_to_text_ray.sources.corpus import cached_dir
     from iesl_pdf_to_text_ray.stages.extract import spans_digest
-    chunked_dir = "/tmp/graft_chunked_corpus"
-    import os
-    if not os.path.exists(os.path.join(chunked_dir, "_done")):
-        write_chunked_corpus(_corpus_dir(), chunked_dir,
-                             chunk_bytes=64 << 10)
-        open(os.path.join(chunked_dir, "_done"), "w").close()
+    corpus = _corpus_dir()
+    chunked_dir = cached_dir(
+        corpus + "_chunked",
+        lambda d: write_chunked_corpus(corpus, d, chunk_bytes=64 << 10))
     ds = extract_dataset(read_chunked_corpus(chunked_dir),
                          concurrency=(1, 8), batch_size=2)
-
-    def summarize(batch: pa.Table) -> pa.Table:
-        rows = batch.to_pylist()
-        return pa.table({
-            "doc_id": pa.array([r["doc_id"] for r in rows], pa.string()),
-            "n_spans": pa.array([r["n_spans"] for r in rows], pa.int32()),
-            "digest": pa.array([spans_digest(r["spans"]) for r in rows],
-                               pa.string())})
-    return ds.map_batches(summarize, batch_format="pyarrow")
+    return _summarize(ds, spans_digest, cols=("n_spans",))
 
 
 def pdf_media_query(sf_dir: str):

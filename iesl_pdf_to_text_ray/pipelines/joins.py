@@ -1,21 +1,23 @@
 """Distributed joins for Ray Data.
 
-Ray Data (2.49) has no native large-x-large join; this module provides
-the canonical shapes (SURVEY.md §2.D custom-operator patterns):
+Ray Data 2.49 has a native ``Dataset.join`` (hash-shuffle inner, outer,
+semi and anti joins).  This module keeps the shapes it does not offer
+(SURVEY.md §2.D custom-operator patterns):
 
-* ``broadcast_lookup`` pattern — small side shipped once via ray.put,
-  vectorized searchsorted lookup inside map_batches (used by
-  revenue_by_nation in table_ops).
+* ``broadcast_lookup`` — a small dimension built once in a worker task
+  into a ``Lookup`` (sorted keys, aligned value columns), shipped
+  through the object store and probed inside map_batches with an
+  exact-match searchsorted.
+  A key that misses is dropped, as the SQL inner ``JOIN`` drops it.
 * ``hash_join`` — both sides hash-partitioned on the key into P coarse
   partitions, co-located by groupby(part), merged vectorized (pandas)
-  inside each partition group.  The two sides flow through one union with
-  a *flat* combined schema (each side fills the other side's columns with
-  nulls) — flat primitive columns shuffle/sort far faster than
-  struct-wrapped rows.  One shuffle, bounded per-task memory
-  (~|L|/P + |R|/P rows), P scales with the cluster.  Skew: a
-  pathologically hot key lands in one partition — salt the key (append
-  hash(row)%k for the hot values on both sides) when a key exceeds the
-  partition budget.
+  inside each partition group, with an optional per-partition reduction
+  folded into the merge (``merge_post``) and hot-key salting.  The two
+  sides flow through one union with a *flat* combined schema (each side
+  fills the other side's columns with nulls) — flat primitive columns
+  shuffle/sort far faster than struct-wrapped rows.  One shuffle,
+  bounded per-task memory (~|L|/P + |R|/P rows), P scales with the
+  cluster.
 * ``asof_join`` — backward as-of (latest right row at-or-before each
   left timestamp per key) with the same partitioning, merged with
   pandas merge_asof.
@@ -25,9 +27,13 @@ Column names must be disjoint across sides (callers rename first).
 
 from __future__ import annotations
 
+import os
+from collections.abc import Mapping, Sequence
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 
 def _pd_table(df: pd.DataFrame, schema: pa.Schema | None = None) -> pa.Table:
@@ -56,6 +62,83 @@ def _arrow_type(t) -> pa.DataType:
     return {str: pa.string(), bytes: pa.binary(), int: pa.int64(),
             float: pa.float64(), bool: pa.bool_(),
             object: pa.string()}[t]
+
+
+# ---------------------------------------------------------- broadcast lookup
+
+class Lookup:
+    """A broadcast dimension: sorted unique keys and value columns
+    aligned with them, as numpy arrays (numeric ones reach a task from
+    the object store without a copy)."""
+
+    def __init__(self, keys: np.ndarray, values: dict[str, np.ndarray]):
+        self.keys = keys
+        self.values = values
+
+    def __getitem__(self, col: str) -> np.ndarray:
+        return self.values[col]
+
+    def probe(self, query) -> tuple[np.ndarray, np.ndarray]:
+        """Exact-match probe: (hit mask over ``query``, dimension row of
+        each hit).  A key below the smallest, above the largest or
+        between two dimension keys is a miss; it never raises and never
+        picks up a neighbour's row."""
+        query = np.asarray(query)
+        pos = np.searchsorted(self.keys, query)
+        hit = pos < len(self.keys)
+        hit[hit] = self.keys[pos[hit]] == query[hit]
+        return hit, pos[hit]
+
+    def join(self, df: pd.DataFrame, on: str, **cols: str) -> pd.DataFrame:
+        """Inner join of ``df`` on its column ``on``: rows whose key
+        misses are dropped, and each ``name=column`` of the dimension is
+        attached to the rows that remain."""
+        hit, row = self.probe(df[on].to_numpy())
+        return df[hit].assign(**{name: self.values[c][row]
+                                 for name, c in cols.items()})
+
+
+def _build_lookup(key: str, values, path: str | None,
+                  *tables: pa.Table) -> Lookup:
+    """The build half of ``broadcast_lookup``, run in a worker task:
+    reads ``key`` and ``values`` from the parquet file ``path`` (or from
+    ``tables``), drops null keys, keeps the first row of a repeated key
+    and sorts."""
+    import pyarrow.dataset as pads
+    cols = dict(values) if isinstance(values, Mapping) \
+        else {c: pc.field(c) for c in values}
+    source = path if path is not None else [t for t in tables if t.num_rows]
+    if not source:
+        return Lookup(np.empty(0, np.int64),
+                      {c: np.empty(0) for c in cols})
+    t = pads.dataset(source).to_table(
+        columns={key: pc.field(key), **cols},
+        filter=pc.field(key).is_valid())
+    keys, first = np.unique(t.column(key).to_numpy(), return_index=True)
+    return Lookup(keys, {c: t.column(c).to_numpy()[first] for c in cols})
+
+
+def broadcast_lookup(sf_dir: str, table: str, key: str,
+                     values: Sequence[str] | Mapping[str, pc.Expression]):
+    """Object ref of the ``Lookup`` of ``table`` (a parquet file in
+    ``sf_dir``) on ``key``, built in a worker task, never in the caller.
+
+    ``values`` names the columns to carry, or maps output names to Arrow
+    expressions evaluated in the build (e.g. a derived flag).  A chained
+    dimension (customer -> nation -> name) is two lookups probed in
+    turn, so each keeps numeric columns that reach a task without a copy
+    and only the small end of the chain holds strings."""
+    import ray
+    return ray.remote(_build_lookup).remote(
+        key, values, os.path.join(sf_dir, f"{table}.parquet"))
+
+
+def dataset_lookup(ds, key: str, values: Sequence[str] = ()):
+    """Object ref of the ``Lookup`` of a (small) Dataset on ``key``: its
+    blocks go to one worker task as object refs, never via the caller."""
+    import ray
+    return ray.remote(_build_lookup).remote(key, values, None,
+                                            *ds.to_arrow_refs())
 
 
 def _topk_key_counts(ds, key: str, max_hot: int = 64) -> dict:

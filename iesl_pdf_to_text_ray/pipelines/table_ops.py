@@ -22,7 +22,8 @@ import pyarrow as pa
 from ..functions import ann as annf
 from ..functions import dedup as dd
 from ..functions import textops as tx
-from .joins import _pd_table
+from .joins import (Lookup, _pd_table, asof_join, broadcast_lookup,
+                    dataset_lookup, hash_join)
 
 
 def _clean_schema(path: str, columns=None) -> pa.Schema:
@@ -39,24 +40,17 @@ def _clean_schema(path: str, columns=None) -> pa.Schema:
     return s
 
 
-def _read(sf_dir: str, table: str, columns=None):
+def _read_sized(sf_dir: str, table: str, columns=None):
+    """The one table read: column-pruned, metadata-free schema, and a
+    block count derived from file bytes (~32 MB/block, floor 8 for
+    parallelism) instead of Ray's cpu-count heuristic.  Sort-shuffle cost
+    scales with input block count x reduce partitions, so a 4 MB table
+    split into 64 near-empty blocks quadruples a join's wall time for
+    nothing; at real scale bytes/32MB naturally grows into the many-block
+    regime."""
     import ray.data
     path = os.path.join(sf_dir, f"{table}.parquet")
-    return ray.data.read_parquet(path, columns=columns,
-                                 schema=_clean_schema(path, columns))
-
-
-def _read_sized(sf_dir: str, table: str, columns=None,
-                target_block_bytes: int = 32 << 20):
-    """Size-aware read for shuffle-bound inputs (joins): block count
-    derived from file bytes (~32 MB/block, floor 8 for parallelism)
-    instead of Ray's cpu-count heuristic.  Sort-shuffle cost scales with
-    input block count x reduce partitions, so a 4 MB table split into 64
-    near-empty blocks quadruples a join's wall time for nothing; at real
-    scale bytes/32MB naturally grows into the many-block regime."""
-    import ray.data
-    path = os.path.join(sf_dir, f"{table}.parquet")
-    n_blocks = max(8, os.path.getsize(path) // target_block_bytes)
+    n_blocks = max(8, os.path.getsize(path) // (32 << 20))
     return ray.data.read_parquet(path, columns=columns,
                                  override_num_blocks=n_blocks,
                                  schema=_clean_schema(path, columns))
@@ -175,12 +169,15 @@ def lang_stats(sf_dir: str):
             "lang": batch.column("lang"),
             "n_docs": batch.column("count()").cast(pa.int64()),
             "total_chars": batch.column("sum(n_chars)").cast(pa.int64()),
-            "avg_chars": pc.round(batch.column("mean(n_chars)"), 6)})
+            # half away from zero, as the oracle's round (the mean is
+            # never negative); pc.round's default is half to even
+            "avg_chars": pc.round(batch.column("mean(n_chars)"), 6,
+                                  round_mode="half_towards_infinity")})
     return ds.map_batches(rename, batch_format="pyarrow")
 
 
 def top_longest(sf_dir: str, k: int = 20):
-    ds = _read(sf_dir, "documents", columns=["doc_id", "n_chars"])
+    ds = _read_sized(sf_dir, "documents", columns=["doc_id", "n_chars"])
     return _global_topk(ds, ["n_chars", "doc_id"], [False, True], k)
 
 
@@ -201,7 +198,7 @@ def token_stats(sf_dir: str):
 def token_stats_bpe(sf_dir: str):
     """BPE-ish subword token counts (words / numbers / punctuation runs),
     vectorized pandas-str kernel; complements whitespace token_stats."""
-    ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
+    ds = _read_sized(sf_dir, "documents", columns=["doc_id", "text"])
     ds = ds.map_batches(tx.bpe_token_count_batch, batch_format="pyarrow")
 
     def rename(batch: pa.Table) -> pa.Table:
@@ -212,12 +209,12 @@ def token_stats_bpe(sf_dir: str):
 
 
 def quality_scores(sf_dir: str):
-    ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
+    ds = _read_sized(sf_dir, "documents", columns=["doc_id", "text"])
     return ds.map_batches(tx.quality_batch, batch_format="pyarrow")
 
 
 def doc_fingerprints(sf_dir: str):
-    ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
+    ds = _read_sized(sf_dir, "documents", columns=["doc_id", "text"])
     return ds.map_batches(tx.fingerprint_batch, batch_format="pyarrow")
 
 
@@ -225,7 +222,8 @@ def top_docs_per_lang(sf_dir: str, k: int = 3):
     """Per-group top-N (ROW_NUMBER() OVER (PARTITION BY ...) <= k): local
     top-k inside every batch (lossless partial — a global winner is a
     batch winner), then one tiny per-group merge."""
-    ds = _read_sized(sf_dir, "documents", columns=["doc_id", "lang", "n_chars"])
+    ds = _read_sized(sf_dir, "documents",
+                     columns=["doc_id", "lang", "n_chars"])
 
     def local_topk(batch: pa.Table) -> pa.Table:
         df = batch.to_pandas()
@@ -245,7 +243,7 @@ def top_docs_per_lang(sf_dir: str, k: int = 3):
 
 
 def langid_predict(sf_dir: str):
-    ds = _read(sf_dir, "documents", columns=["doc_id", "lang", "text"])
+    ds = _read_sized(sf_dir, "documents", columns=["doc_id", "lang", "text"])
     return ds.map_batches(tx.langid_batch, batch_format="pyarrow")
 
 
@@ -285,7 +283,7 @@ def dedup_simhash(sf_dir: str):
     """Per-document 64-bit simhash fingerprints.  Token-less documents
     are dropped, matching the oracle (its toks CTE emits no rows for
     them, so they have no fingerprint)."""
-    ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
+    ds = _read_sized(sf_dir, "documents", columns=["doc_id", "text"])
     ds = ds.map_batches(dd.drop_tokenless_batch, batch_format="pyarrow")
     return ds.map_batches(dd.simhash_batch, batch_format="pyarrow")
 
@@ -517,7 +515,7 @@ def media_frames(sf_dir: str, n_frames: int = 4):
             "payload": pa.array([(t or "").encode() for t in texts],
                                 pa.binary())})
 
-    ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
+    ds = _read_sized(sf_dir, "documents", columns=["doc_id", "text"])
     ds = ds.map_batches(to_media, batch_format="pyarrow")
     ds = ds.map_batches(FrameSampleStage, batch_format="pyarrow",
                         batch_size=32, concurrency=(1, 4))
@@ -818,8 +816,8 @@ def pricing_summary(sf_dir: str):
     partials -> tiny final groupby (the partial/combiner discipline that
     keeps the shuffle O(groups), not O(rows))."""
     ds = _read_sized(sf_dir, "lineitem",
-               columns=["l_returnflag", "l_linestatus", "l_quantity",
-                        "l_extendedprice", "l_discount"])
+                     columns=["l_returnflag", "l_linestatus", "l_quantity",
+                              "l_extendedprice", "l_discount"])
 
     def partial(batch: pa.Table) -> pa.Table:
         df = batch.to_pandas()
@@ -854,7 +852,6 @@ def order_revenue(sf_dir: str, k: int = 10):
     once by key hash, merged vectorized per partition), then revenue per
     order and top-k.  The per-order aggregation happens inside the join
     output via partial combiners, so the second shuffle is O(orders)."""
-    from .joins import hash_join
     orders = _read_sized(sf_dir, "orders",
                          columns=["o_orderkey", "o_orderstatus",
                                   "o_orderpriority"])
@@ -1003,7 +1000,8 @@ def sample_documents(sf_dir: str, pct: int = 10):
     """Deterministic hash sampling (md5(doc_id) bucket < pct%): the
     reproducible corpus-subset operator — same rows on every engine and
     every run, unlike random_sample.  Fully streaming filter."""
-    ds = _read(sf_dir, "documents", columns=["doc_id", "lang", "n_chars"])
+    ds = _read_sized(sf_dir, "documents",
+                     columns=["doc_id", "lang", "n_chars"])
 
     def pick(batch: pa.Table) -> pa.Table:
         keep = _md5_bucket32(batch.column("doc_id").to_pylist()) % 100 < pct
@@ -1016,43 +1014,15 @@ def local_supplier_revenue(sf_dir: str):
     """TPC-H Q5-flavored: revenue from lineitems whose supplier and
     ordering customer share a nation, grouped by nation — composes the
     partitioned hash join (orders x lineitem, both large) with broadcast
-    maps for the three small dimensions (supplier/customer -> nationkey,
-    nation -> name), then partial-combined aggregation."""
+    lookups of the small dimensions (supplier -> nationkey, customer ->
+    nationkey, nationkey -> name), then partial-combined aggregation."""
     import ray
-    from .joins import hash_join
 
-    @ray.remote
-    def _build_maps(sf: str):
-        # dimension maps built in a worker task, never on the driver —
-        # at sf100 customer is 15M rows; the arrays (~120 MB) go straight
-        # into the object store and are broadcast from there
-        import pyarrow.parquet as pq
-        supp = pq.read_table(os.path.join(sf, "supplier.parquet"),
-                             columns=["s_suppkey", "s_nationkey"])
-        cust = pq.read_table(os.path.join(sf, "customer.parquet"),
-                             columns=["c_custkey", "c_nationkey"])
-        nation = pq.read_table(os.path.join(sf, "nation.parquet"),
-                               columns=["n_nationkey", "n_name"])
-
-        def sorted_map(keys, vals):
-            k = np.asarray(keys, dtype=np.int64)
-            v = np.asarray(vals)
-            o = np.argsort(k)
-            return k[o], v[o]
-
-        sk, sv = sorted_map(supp.column("s_suppkey"),
-                            np.asarray(supp.column("s_nationkey"),
-                                       dtype=np.int64))
-        ck, cv = sorted_map(cust.column("c_custkey"),
-                            np.asarray(cust.column("c_nationkey"),
-                                       dtype=np.int64))
-        nkeys = np.asarray(nation.column("n_nationkey"), dtype=np.int64)
-        nnames = np.empty(nkeys.max() + 1, dtype=object)
-        nnames[nkeys] = np.asarray(nation.column("n_name").to_pylist(),
-                                   dtype=object)
-        return {"sk": sk, "sv": sv, "ck": ck, "cv": cv, "nn": nnames}
-
-    maps_ref = _build_maps.remote(sf_dir)
+    refs = [broadcast_lookup(sf_dir, "supplier", "s_suppkey",
+                             ["s_nationkey"]),
+            broadcast_lookup(sf_dir, "customer", "c_custkey",
+                             ["c_nationkey"]),
+            _nation_lookup(sf_dir)]
 
     orders = _read_sized(sf_dir, "orders",
                          columns=["o_orderkey", "o_custkey"])
@@ -1061,20 +1031,16 @@ def local_supplier_revenue(sf_dir: str):
                                     "l_extendedprice", "l_discount"])
 
     def local_partial(df):
-        # folded into the join's partition merge: broadcast maps resolved
-        # from the object store per task (local plasma hit, zero-copy)
-        m = ray.get(maps_ref)
-        sk, sv, ck, cv, nn = m["sk"], m["sv"], m["ck"], m["cv"], m["nn"]
-        s_nat = sv[np.clip(np.searchsorted(sk, df["l_suppkey"].to_numpy()),
-                           0, len(sk) - 1)]
-        c_nat = cv[np.clip(np.searchsorted(ck, df["o_custkey"].to_numpy()),
-                           0, len(ck) - 1)]
-        local = s_nat == c_nat
-        df = df[local]
-        df = df.assign(nation=nn[s_nat[local]],
-                       rev=df["l_extendedprice"] * (1 - df["l_discount"]))
-        return df.groupby("nation", as_index=False).agg(
+        # folded into the join's partition merge: broadcast lookups
+        # resolved from the object store per task (local plasma hit)
+        supp, cust, nation = ray.get(refs)
+        df = supp.join(df, "l_suppkey", s_nat="s_nationkey")
+        df = cust.join(df, "o_custkey", c_nat="c_nationkey")
+        df = df[df["s_nat"] == df["c_nat"]]
+        df = df.assign(rev=df["l_extendedprice"] * (1 - df["l_discount"]))
+        g = df.groupby("s_nat", as_index=False).agg(
             part_rev=("rev", "sum"), part_n=("rev", "size"))
+        return nation.join(g, "s_nat", nation="n_name")
 
     from ray.data.aggregate import Sum
     ds = hash_join(orders, lineitem, "o_orderkey", "l_orderkey",
@@ -1191,7 +1157,6 @@ def events_asof_orders(sf_dir: str):
     by user, per-partition vectorized merge_asof).  Output carries the
     matched order *date* (deterministic under same-date order ties, which
     an order-key output would not be)."""
-    from .joins import asof_join
     events = _read_sized(sf_dir, "events",
                          columns=["event_id", "user_id", "ts"])
     orders = _read_sized(sf_dir, "orders",
@@ -1231,53 +1196,39 @@ _SLIDING_PARTIAL_SCHEMA = pa.schema([
 
 # ------------------------------------------------------------------- TPC-H
 
+def _nation_lookup(sf_dir: str):
+    """The nation key -> ``n_name`` lookup (25 rows): the one nation-name
+    map every query that names nations probes."""
+    return broadcast_lookup(sf_dir, "nation", "n_nationkey", ["n_name"])
+
+
 def revenue_by_nation(sf_dir: str):
     """Broadcast join (orders x customer x nation) + partial aggregation.
 
-    customer/nation are the small sides: shipped to every task once via
-    ray.put, never reshuffled; orders streams through map_batches with a
-    per-batch combiner before the final 25-group reduction.
+    customer -> nation key and nation key -> name are broadcast lookups,
+    shipped to every actor once via the object store, never reshuffled;
+    orders streams through map_batches with a per-batch combiner (names
+    attached to its <= 25 rows) before the final 25-group reduction.
     """
     import ray
 
-    @ray.remote
-    def _build_lookup(sf: str):
-        # small side built in a worker task (never driver-side), kept as
-        # Arrow/numpy arrays: customer -> (sorted custkey array, aligned
-        # nation names); never a Python dict
-        import pyarrow.parquet as pq
-        cust = pq.read_table(os.path.join(sf, "customer.parquet"),
-                             columns=["c_custkey", "c_nationkey"])
-        nation = pq.read_table(os.path.join(sf, "nation.parquet"),
-                               columns=["n_nationkey", "n_name"])
-        nkeys = np.asarray(nation.column("n_nationkey"), dtype=np.int64)
-        nnames = np.asarray(nation.column("n_name").to_pylist(),
-                            dtype=object)
-        name_by_key = np.empty(nkeys.max() + 1, dtype=object)
-        name_by_key[nkeys] = nnames
-        ckeys = np.asarray(cust.column("c_custkey"), dtype=np.int64)
-        cnation = name_by_key[np.asarray(cust.column("c_nationkey"),
-                                         dtype=np.int64)]
-        order = np.argsort(ckeys)
-        return {"keys": ckeys[order], "nation": cnation[order]}
-
-    lookup_ref = _build_lookup.remote(sf_dir)
+    refs = [broadcast_lookup(sf_dir, "customer", "c_custkey",
+                             ["c_nationkey"]),
+            _nation_lookup(sf_dir)]
 
     class JoinAgg:
         def __init__(self):
-            d = ray.get(lookup_ref)
-            self.keys = d["keys"]          # sorted custkeys
-            self.nation = d["nation"]      # aligned nation names
+            self.cust, self.nation = ray.get(refs)
 
         def __call__(self, batch: pa.Table) -> pa.Table:
-            df = batch.to_pandas()
-            pos = np.searchsorted(self.keys, df["o_custkey"].to_numpy())
-            pos = np.clip(pos, 0, len(self.keys) - 1)
-            df["nation"] = self.nation[pos]
-            g = df.groupby("nation", as_index=False).agg(
+            df = self.cust.join(batch.to_pandas(), "o_custkey",
+                                nk="c_nationkey")
+            g = df.groupby("nk", as_index=False).agg(
                 part_n=("o_totalprice", "size"),
                 part_rev=("o_totalprice", "sum"))
-            return _pd_table(g, _REVENUE_PARTIAL_SCHEMA)
+            g = self.nation.join(g, "nk", nation="n_name")
+            return _pd_table(g[["nation", "part_n", "part_rev"]],
+                             _REVENUE_PARTIAL_SCHEMA)
 
     ds = _read_sized(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
     ds = ds.map_batches(JoinAgg, batch_format="pyarrow", concurrency=(1, 4))
@@ -1305,7 +1256,7 @@ def text_normalize(sf_dir: str):
     collapse whitespace runs, strip, content hash.  Pure streaming
     map_batches with vectorized pandas-str kernels (md5 is per-row by
     nature, same shape as dedup_exact)."""
-    ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
+    ds = _read_sized(sf_dir, "documents", columns=["doc_id", "text"])
 
     def norm(batch: pa.Table) -> pa.Table:
         s = batch.column("text").to_pandas()
@@ -1384,7 +1335,6 @@ def customers_no_orders(sf_dir: str, n_parts: int = 16):
     right side is filtered AND shrunk to per-batch distinct keys before
     the shuffle, and the per-segment aggregation is folded into the join
     partition so the second shuffle is O(segments)."""
-    from .joins import hash_join
     cust = _read_sized(sf_dir, "customer",
                        columns=["c_custkey", "c_mktsegment", "c_acctbal"])
     orders = _read_sized(sf_dir, "orders",
@@ -1518,7 +1468,8 @@ def stratified_sample(sf_dir: str, target_per_lang: int = 50):
     — the same md5-bucket rule as sample_documents so any engine
     reproduces the exact row set."""
     import math
-    ds = _read(sf_dir, "documents", columns=["doc_id", "lang", "n_chars"])
+    ds = _read_sized(sf_dir, "documents",
+                     columns=["doc_id", "lang", "n_chars"])
 
     def lang_counts(batch: pa.Table) -> pa.Table:
         # per-batch partial counts: the merged result is O(blocks x langs)
@@ -1531,7 +1482,7 @@ def stratified_sample(sf_dir: str, target_per_lang: int = 50):
     # driver reads one row per LANGUAGE, never one per block
     counts: dict = {
         row["lang"]: int(row["sum(n)"])
-        for row in (_read(sf_dir, "documents", columns=["lang"])
+        for row in (_read_sized(sf_dir, "documents", columns=["lang"])
                     .map_batches(lang_counts, batch_format="pyarrow")
                     .groupby("lang").sum("n").take_all())}
     rate = {lang: min(10000, math.ceil(10000.0 * target_per_lang / n))
@@ -1622,7 +1573,7 @@ def component_label_ref(sf_dir: str, n_parts: int = 8,
                         local_edge_limit: int = 2_000_000,
                         edge_fn=None):
     """The label side of ``neardup_components`` as a broadcast object
-    ref: (sorted member doc_ids, their component labels) — only
+    ref: a ``Lookup`` from member doc_id to its ``component`` — only
     near-dup members appear, so the arrays are O(near-dup docs), a
     vanishing fraction of corpus size.  Lets composites
     (fuzzy_dedup_curation) attach labels inside their own map pass
@@ -1660,7 +1611,8 @@ def component_label_ref(sf_dir: str, n_parts: int = 8,
             vs = [np.asarray(t.column("v"), dtype=np.int64)
                   for t in tabs if t.num_rows]
             if not us:
-                return np.empty(0, np.int64), np.empty(0, np.int64)
+                return Lookup(np.empty(0, np.int64),
+                              {"component": np.empty(0, np.int64)})
             u = np.concatenate(us)
             v = np.concatenate(vs)
             nodes, inv = np.unique(np.concatenate([u, v]),
@@ -1683,7 +1635,7 @@ def component_label_ref(sf_dir: str, n_parts: int = 8,
             # root index is the min node index of its component because
             # unions always point the larger root at the smaller and
             # nodes[] is sorted ascending
-            return nodes, nodes[roots]
+            return Lookup(nodes, {"component": nodes[roots]})
 
         return _local_cc.remote(*edges.to_arrow_refs())
 
@@ -1712,56 +1664,34 @@ def component_label_ref(sf_dir: str, n_parts: int = 8,
            .map_groups(labels, batch_format="pyarrow"))
 
     # Singleton docs get component = self.  The label table is tiny next
-    # to the corpus (only near-dup members appear in it), so it is
-    # assembled into one sorted lookup array inside a worker task and
-    # broadcast — a union + groupby(doc_id) over ALL docs would be a
-    # full-corpus exchange just to attach defaults (measured: that
-    # aggregate dominated this pipeline's wall time at sf0.1).
-    import ray
-
-    @ray.remote
-    def _assemble_labels(*tabs: pa.Table):
-        us = [np.asarray(t.column("doc_id"), dtype=np.int64)
-              for t in tabs if t.num_rows]
-        cs = [np.asarray(t.column("component"), dtype=np.int64)
-              for t in tabs if t.num_rows]
-        if not us:
-            return np.empty(0, np.int64), np.empty(0, np.int64)
-        u = np.concatenate(us)
-        c = np.concatenate(cs)
-        order = np.argsort(u)
-        return u[order], c[order]
-
-    return _assemble_labels.remote(*lab.to_arrow_refs())
+    # to the corpus (only near-dup members appear in it), so it becomes
+    # one broadcast lookup built in a worker task — a union +
+    # groupby(doc_id) over ALL docs would be a full-corpus exchange just
+    # to attach defaults (measured: that aggregate dominated this
+    # pipeline's wall time at sf0.1).
+    return dataset_lookup(lab, "doc_id", ["component"])
 
 
-def attach_labels(keys: np.ndarray, comps: np.ndarray,
-                  d: np.ndarray) -> np.ndarray:
-    """Component id per doc_id via the broadcast (sorted member ids,
-    labels) arrays; non-members get component = self.  The equality
-    mask is the mis-join guard: a clipped searchsorted hit must match
-    exactly or the doc keeps its own id."""
+def attach_labels(labels, d: np.ndarray) -> np.ndarray:
+    """Component id per doc_id from the broadcast label ``Lookup``;
+    non-members get component = self."""
+    hit, row = labels.probe(d)
     comp = d.copy()
-    if len(keys):
-        pos = np.searchsorted(keys, d)
-        pos[pos == len(keys)] = 0
-        hit = keys[pos] == d
-        comp[hit] = comps[pos[hit]]
+    comp[hit] = labels["component"][row]
     return comp
 
 
 def _attach_components(sf_dir: str, lab_ref):
-    """Label every document with its component: the (sorted keys, comps)
-    label arrays are broadcast via the object store; singleton docs get
+    """Label every document with its component: the label lookup is
+    broadcast via the object store; singleton docs get
     component = self.  Shared by the local union-find and the iterative
     Hash-to-Min paths of ``neardup_components``."""
     import ray
-    docs = _read(sf_dir, "documents", columns=["doc_id"])
+    docs = _read_sized(sf_dir, "documents", columns=["doc_id"])
 
     def attach(batch: pa.Table) -> pa.Table:
-        keys, comps = ray.get(lab_ref)
         d = np.asarray(batch.column("doc_id"), dtype=np.int64)
-        comp = attach_labels(keys, comps, d)
+        comp = attach_labels(ray.get(lab_ref), d)
         return pa.table({"doc_id": pa.array(d, pa.int64()),
                          "component": pa.array(comp, pa.int64())},
                         schema=_LABEL_SCHEMA)
@@ -1780,7 +1710,7 @@ def orders_top_per_priority(sf_dir: str):
     partial argmax shrinks the shuffle to one row per (batch, group);
     the final reduce sees O(batches x groups) rows, never the table."""
     ds = _read_sized(sf_dir, "orders",
-               columns=["o_orderkey", "o_orderpriority", "o_totalprice"])
+                     columns=["o_orderkey", "o_orderpriority", "o_totalprice"])
 
     def partial(batch: pa.Table) -> pa.Table:
         df = batch.to_pandas()
@@ -1859,13 +1789,13 @@ def contamination_check(sf_dir: str, bench_mod: int = 20):
     side is small by framing, so the dedup belongs in the single
     assemble task).  Phase 2 streams the corpus
     through one vectorized scoring kernel: batch-wide shingling
-    (``shingles_flat``), sorted-array membership via searchsorted, and a
+    (``shingles_flat``), membership via the broadcast lookup's probe, and a
     lexsort-dedup + bincount for per-doc distinct-hit counts — no
     per-row Python.  Hashes are 61-bit (collision odds ~n²/2^62,
     negligible; the DuckDB string-shingle oracle still matches)."""
     import ray
 
-    ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
+    ds = _read_sized(sf_dir, "documents", columns=["doc_id", "text"])
 
     def bench_partial(batch: pa.Table) -> pa.Table:
         ids = np.asarray(batch.column("doc_id"))
@@ -1874,32 +1804,18 @@ def contamination_check(sf_dir: str, bench_mod: int = 20):
         return pa.table({"g": np.unique(sh)},
                         schema=_BENCH_SHINGLE_SCHEMA)
 
-    bench_ds = ds.map_batches(bench_partial, batch_format="pyarrow")
-
-    @ray.remote
-    def _assemble(*tabs: pa.Table) -> np.ndarray:
-        parts = [np.asarray(t.column("g"), dtype=np.uint64)
-                 for t in tabs if "g" in t.column_names]
-        if not parts:
-            return np.empty(0, np.uint64)
-        return np.unique(np.concatenate(parts))   # sorted + deduped
-
-    # block refs, deduped + sorted inside a worker; the broadcast is
-    # one contiguous uint64 array (eval sets are tiny next to the corpus)
-    bench_ref = _assemble.remote(*bench_ds.to_arrow_refs())
+    # the benchmark shingles, deduped + sorted in a worker task from
+    # the block refs; the broadcast is one contiguous uint64 key array
+    # (eval sets are tiny next to the corpus)
+    bench_ref = dataset_lookup(
+        ds.map_batches(bench_partial, batch_format="pyarrow"), "g")
 
     def score(batch: pa.Table) -> pa.Table:
-        bench = ray.get(bench_ref)
         ids = np.asarray(batch.column("doc_id"))
         keep = batch.filter(pa.array(ids % bench_mod != 0))
         kept_ids = np.asarray(keep.column("doc_id"))
         doc_idx, sh = dd.shingles_flat(keep.column("text").to_pylist(), {})
-        if len(bench) == 0 or len(sh) == 0:
-            return pa.table({"doc_id": [], "n_hits": []},
-                            schema=_CONTAM_SCHEMA)
-        pos = np.searchsorted(bench, sh)
-        member = (pos < len(bench)) & (bench[np.minimum(
-            pos, len(bench) - 1)] == sh)
+        member, _ = ray.get(bench_ref).probe(sh)
         d, s = doc_idx[member], sh[member]
         order = np.lexsort((s, d))
         d, s = d[order], s[order]
@@ -1924,7 +1840,6 @@ def customer_order_distribution(sf_dir: str, n_parts: int = 16):
     can't see the zeros).  Per-customer counts fold inside the join
     partition (one shuffle), the distribution is a tiny second groupby
     over O(distinct counts) rows."""
-    from .joins import hash_join
     cust = _read_sized(sf_dir, "customer", columns=["c_custkey"])
     orders = _read_sized(sf_dir, "orders",
                          columns=["o_custkey", "o_orderkey"])
@@ -1961,7 +1876,8 @@ def weighted_sample(sf_dir: str, target: int = 100):
     inclusion is proportional to n_chars only up to that cap and the
     expected sample size drifts slightly below ``target`` on skewed
     corpora — inherent to single-pass weighted sampling."""
-    ds = _read(sf_dir, "documents", columns=["doc_id", "lang", "n_chars"])
+    ds = _read_sized(sf_dir, "documents",
+                     columns=["doc_id", "lang", "n_chars"])
     total = ds.sum("n_chars")
 
     def pick(batch: pa.Table) -> pa.Table:
@@ -1984,7 +1900,6 @@ def orders_with_bulk_items(sf_dir: str, min_qty: float = 45.0,
     existence query.  The right side filters and shrinks to per-batch
     distinct keys before the shuffle; the per-priority count folds
     inside the join partition."""
-    from .joins import hash_join
     orders = _read_sized(sf_dir, "orders",
                          columns=["o_orderkey", "o_orderpriority"])
     items = _read_sized(sf_dir, "lineitem",
@@ -2066,7 +1981,7 @@ def pricing_quantiles_sketch(sf_dir: str, qs=(0.5, 0.9, 0.99)):
     exact quantiles is pinned in tests (rows-only for the driver: the
     approximation is not SQL-reproducible)."""
     ds = _read_sized(sf_dir, "orders",
-               columns=["o_orderpriority", "o_totalprice"])
+                     columns=["o_orderpriority", "o_totalprice"])
 
     def partial(batch: pa.Table) -> pa.Table:
         df = batch.to_pandas()

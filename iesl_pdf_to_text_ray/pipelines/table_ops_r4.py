@@ -23,15 +23,14 @@ global sort for constant-k answers.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from .joins import _pd_table, hash_join
-from .table_ops import (_cents, _global_topk, _partitioned_agg, _read,
-                        _read_sized)
+from .joins import Lookup, _pd_table, broadcast_lookup, hash_join
+from .table_ops import (_cents, _global_topk, _nation_lookup,
+                        _partitioned_agg, _read_sized)
 
 
 # ------------------------------------------------------------ helpers
@@ -71,9 +70,9 @@ def forecast_revenue(sf_dir: str):
     constant-size final merge; at 100 TB the shipdate/discount filters
     belong in parquet row-group predicate pushdown (the read is pruned
     to the four touched columns here)."""
-    ds = _read(sf_dir, "lineitem",
-               columns=["l_shipdate", "l_discount", "l_quantity",
-                        "l_extendedprice"])
+    ds = _read_sized(sf_dir, "lineitem",
+                     columns=["l_shipdate", "l_discount", "l_quantity",
+                              "l_extendedprice"])
     lo = np.datetime64("1997-01-01")
     hi = np.datetime64("1998-01-01")
 
@@ -111,35 +110,25 @@ _SHIPPRIO_SCHEMA = pa.schema([
 def shipping_priority(sf_dir: str, segment: str = "BUILDING",
                       k: int = 10, n_parts: int = 32):
     """TPC-H Q3 flavor: top-k unshipped orders by revenue for one market
-    segment.  Three-table shape at scale: the segment's customer keys are
-    a broadcast set (built in a worker task — customer is the small side
-    after the segment filter), orders are filtered against it with a
-    vectorized searchsorted membership test, and the remaining
-    large x large orders x lineitem join is the partitioned hash join
-    with per-order aggregation + local top-k folded into the partition
-    merge, so the final exchange carries n_parts*k rows."""
+    segment.  Three-table shape at scale: customer is a broadcast lookup
+    carrying an in-segment flag (customer is the small side), orders
+    keep the rows whose customer is found and in the segment, and the
+    remaining large x large orders x lineitem join is the partitioned
+    hash join with per-order aggregation + local top-k folded into the
+    partition merge, so the final exchange carries n_parts*k rows."""
     import ray
 
-    @ray.remote
-    def _segment_keys(sf: str, seg: str) -> np.ndarray:
-        import pyarrow.compute as pc
-        import pyarrow.parquet as pq
-        t = pq.read_table(os.path.join(sf, "customer.parquet"),
-                          columns=["c_custkey", "c_mktsegment"])
-        keys = t.filter(pc.equal(t.column("c_mktsegment"), seg)) \
-            .column("c_custkey")
-        return np.sort(np.asarray(keys, dtype=np.int64))
-
-    keys_ref = _segment_keys.remote(sf_dir, segment)
+    cust_ref = broadcast_lookup(
+        sf_dir, "customer", "c_custkey",
+        {"in_segment": pc.coalesce(pc.field("c_mktsegment") == segment,
+                                   False)})
     cutoff = np.datetime64("1998-01-01")
 
     def orders_filter(batch: pa.Table) -> pa.Table:
-        keys = ray.get(keys_ref)
-        cust = np.asarray(batch.column("o_custkey"))
-        odate = np.asarray(batch.column("o_orderdate"))
-        pos = np.searchsorted(keys, cust)
-        pos[pos == len(keys)] = 0
-        keep = (keys[pos] == cust) & (odate < cutoff)
+        cust = ray.get(cust_ref)
+        hit, row = cust.probe(np.asarray(batch.column("o_custkey")))
+        keep = hit & (np.asarray(batch.column("o_orderdate")) < cutoff)
+        keep[hit] &= cust["in_segment"][row]
         return batch.filter(pa.array(keep)) \
             .select(["o_orderkey", "o_orderdate"])
 
@@ -190,8 +179,9 @@ def returned_items(sf_dir: str, k: int = 20, n_parts: int = 32):
     items.  Lineitem is pre-aggregated per order inside map_batches (the
     combiner halves the shuffled rows before the join), joined to orders
     with per-customer aggregation folded into the partition merge, then
-    the customer-name / nation-name decoration is a broadcast lookup
-    built in a worker task — never a third shuffle."""
+    the customer-name / nation-name decoration is two broadcast lookups
+    (customer -> name and nation key, nation key -> name) — never a
+    third shuffle."""
     import ray
 
     def li_partial(batch: pa.Table) -> pa.Table:
@@ -234,41 +224,23 @@ def returned_items(sf_dir: str, k: int = 20, n_parts: int = 32):
 
     per_customer = _partitioned_agg(joined, "o_custkey", cust_sum)
 
-    @ray.remote
-    def _cust_maps(sf: str):
-        import pyarrow.parquet as pq
-        cust = pq.read_table(os.path.join(sf, "customer.parquet"),
-                             columns=["c_custkey", "c_name",
-                                      "c_nationkey"])
-        nation = pq.read_table(os.path.join(sf, "nation.parquet"),
-                               columns=["n_nationkey", "n_name"])
-        ck = np.asarray(cust.column("c_custkey"), dtype=np.int64)
-        order = np.argsort(ck)
-        nk = np.asarray(nation.column("n_nationkey"), dtype=np.int64)
-        nnames = np.empty(nk.max() + 1, dtype=object)
-        nnames[nk] = np.asarray(nation.column("n_name").to_pylist(),
-                                dtype=object)
-        return {
-            "ck": ck[order],
-            "cname": np.asarray(cust.column("c_name").to_pylist(),
-                                dtype=object)[order],
-            "cnat": np.asarray(cust.column("c_nationkey"),
-                               dtype=np.int64)[order],
-            "nnames": nnames}
-
-    maps_ref = _cust_maps.remote(sf_dir)
+    refs = [broadcast_lookup(sf_dir, "customer", "c_custkey",
+                             ["c_name", "c_nationkey"]),
+            _nation_lookup(sf_dir)]
 
     def decorate(batch: pa.Table) -> pa.Table:
-        import ray as _ray
-        m = _ray.get(maps_ref)
-        cust = np.asarray(batch.column("o_custkey"))
-        pos = np.searchsorted(m["ck"], cust)
+        cust, nation = ray.get(refs)
+        key = np.asarray(batch.column("o_custkey"))
+        hit, row = cust.probe(key)
+        n_hit, n_row = nation.probe(cust["c_nationkey"][row])
+        hit[hit] = n_hit
+        row = row[n_hit]
         return pa.table({
-            "c_custkey": pa.array(cust, pa.int64()),
-            "c_name": pa.array(m["cname"][pos], pa.string()),
-            "n_name": pa.array(m["nnames"][m["cnat"][pos]], pa.string()),
+            "c_custkey": pa.array(key[hit], pa.int64()),
+            "c_name": pa.array(cust["c_name"][row], pa.string()),
+            "n_name": pa.array(nation["n_name"][n_row], pa.string()),
             "revenue_cents": batch.column("revenue_cents")
-                .cast(pa.int64())},
+                .filter(pa.array(hit)).cast(pa.int64())},
             schema=_RET_SCHEMA)
 
     ds = per_customer.map_batches(decorate, batch_format="pyarrow")
@@ -284,37 +256,28 @@ _PROMO_SCHEMA = pa.schema([("promo_cents", pa.int64()),
 
 def promo_revenue(sf_dir: str):
     """TPC-H Q14 flavor: promotional share of 1997 revenue.  The
-    part-type lookup is a broadcast boolean array indexed by partkey
-    (built once in a worker task — ~20 MB at sf100), read by every
-    lineitem batch; revenue is a one-row-per-batch partial pair, so the
-    only exchange is the constant-size final merge."""
+    part-type lookup is a broadcast partkey -> is-promo flag (built once
+    in a worker task), read by every lineitem batch; lineitems whose
+    part is missing drop out of both sums, as in the oracle's inner
+    join.  Revenue is a one-row-per-batch partial pair, so the only
+    exchange is the constant-size final merge."""
     import ray
 
-    @ray.remote
-    def _promo_mask(sf: str) -> np.ndarray:
-        import pyarrow.parquet as pq
-        t = pq.read_table(os.path.join(sf, "part.parquet"),
-                          columns=["p_partkey", "p_type"])
-        pk = np.asarray(t.column("p_partkey"), dtype=np.int64)
-        mask = np.zeros(pk.max() + 1, dtype=bool)
-        is_promo = np.asarray(
-            [s == "PROMO" for s in t.column("p_type").to_pylist()])
-        mask[pk[is_promo]] = True
-        return mask
-
-    mask_ref = _promo_mask.remote(sf_dir)
+    part_ref = broadcast_lookup(
+        sf_dir, "part", "p_partkey",
+        {"promo": pc.coalesce(pc.field("p_type") == "PROMO", False)})
     lo = np.datetime64("1997-01-01")
     hi = np.datetime64("1998-01-01")
 
     def partial(batch: pa.Table) -> pa.Table:
-        mask = ray.get(mask_ref)
+        part = ray.get(part_ref)
         ship = np.asarray(batch.column("l_shipdate"))
-        keep = (ship >= lo) & (ship < hi)
-        pk = np.asarray(batch.column("l_partkey"))[keep]
+        hit, row = part.probe(np.asarray(batch.column("l_partkey")))
+        keep = (ship >= lo) & (ship < hi) & hit
         price = np.asarray(batch.column("l_extendedprice"))[keep]
         disc = np.asarray(batch.column("l_discount"))[keep]
         cents = _cents(price * (1.0 - disc))
-        promo = mask[pk]
+        promo = part["promo"][row[keep[hit]]]
         return pa.table({
             "part_promo": pa.array([int(cents[promo].sum())], pa.int64()),
             "part_total": pa.array([int(cents.sum())], pa.int64())},
@@ -329,9 +292,9 @@ def promo_revenue(sf_dir: str):
                 [int(np.asarray(batch.column("part_total")).sum())],
                 pa.int64())}, schema=_PROMO_SCHEMA)
 
-    ds = _read(sf_dir, "lineitem",
-               columns=["l_partkey", "l_shipdate", "l_extendedprice",
-                        "l_discount"]) \
+    ds = _read_sized(sf_dir, "lineitem",
+                     columns=["l_partkey", "l_shipdate", "l_extendedprice",
+                              "l_discount"]) \
         .map_batches(partial, batch_format="pyarrow")
     return _scalar_reduce(ds, final, _PROMO_SCHEMA)
 
@@ -456,42 +419,29 @@ _SUPPBAL_SCHEMA = pa.schema([("r_name", pa.string()),
 def supplier_balance_by_region(sf_dir: str):
     """Dimension-chain rollup (supplier -> nation -> region): supplier
     account balance per region.  Both dimensions are tiny at any scale,
-    so the chain is one broadcast region-name-by-nationkey array; the
-    fact scan emits one partial row per (batch, region) and the final
-    groupby touches O(regions) rows."""
+    so each is a broadcast lookup probed in turn; the fact scan emits
+    one partial row per (batch, region) and the final groupby touches
+    O(regions) rows."""
     import ray
 
-    @ray.remote
-    def _region_by_nation(sf: str) -> np.ndarray:
-        import pyarrow.parquet as pq
-        nation = pq.read_table(os.path.join(sf, "nation.parquet"))
-        region = pq.read_table(os.path.join(sf, "region.parquet"))
-        rk = np.asarray(region.column("r_regionkey"), dtype=np.int64)
-        rnames = np.empty(rk.max() + 1, dtype=object)
-        rnames[rk] = np.asarray(region.column("r_name").to_pylist(),
-                                dtype=object)
-        nk = np.asarray(nation.column("n_nationkey"), dtype=np.int64)
-        out = np.empty(nk.max() + 1, dtype=object)
-        out[nk] = rnames[np.asarray(nation.column("n_regionkey"),
-                                    dtype=np.int64)]
-        return out
-
-    map_ref = _region_by_nation.remote(sf_dir)
+    refs = [broadcast_lookup(sf_dir, "nation", "n_nationkey",
+                             ["n_regionkey"]),
+            broadcast_lookup(sf_dir, "region", "r_regionkey", ["r_name"])]
 
     def partial(batch: pa.Table) -> pa.Table:
-        m = ray.get(map_ref)
-        region = m[np.asarray(batch.column("s_nationkey"),
-                              dtype=np.int64)]
-        df = pd.DataFrame({
-            "r_name": region,
-            "cents": _cents(np.asarray(batch.column("s_acctbal")))})
-        g = df.groupby("r_name", as_index=False).agg(
-            part_n=("cents", "size"), part_cents=("cents", "sum"))
-        return _pd_table(g, _SUPPBAL_PARTIAL)
+        nation, region = ray.get(refs)
+        df = nation.join(batch.to_pandas(), "s_nationkey",
+                         rk="n_regionkey")
+        g = df.assign(cents=_cents(df["s_acctbal"].to_numpy())) \
+            .groupby("rk", as_index=False).agg(
+                part_n=("cents", "size"), part_cents=("cents", "sum"))
+        g = region.join(g, "rk", r_name="r_name")
+        return _pd_table(g[["r_name", "part_n", "part_cents"]],
+                         _SUPPBAL_PARTIAL)
 
     from ray.data.aggregate import Sum
     ds = _read_sized(sf_dir, "supplier",
-               columns=["s_nationkey", "s_acctbal"]) \
+                     columns=["s_nationkey", "s_acctbal"]) \
         .map_batches(partial, batch_format="pyarrow") \
         .groupby("r_name").aggregate(Sum("part_n"), Sum("part_cents"))
 
@@ -949,24 +899,13 @@ def knn_classify(sf_dir: str, n_queries: int = 8, k: int = 10):
     ann_bruteforce kernel — broadcast queries, per-batch partial top-k,
     one per-query merge — plus a broadcast id->label lookup for the
     vote, so the only shuffle carries <= k rows per (query, block)."""
-    import functools
-
     import ray
 
     from ..functions import ann as annf
-    from .table_ops import _load_queries, _read_sized
+    from .table_ops import _load_queries
 
-    @ray.remote
-    def _labels(sf: str):
-        import pyarrow.parquet as pq
-        t = pq.read_table(os.path.join(sf, "embeddings.parquet"),
-                          columns=["vec_id", "label"])
-        ids = np.asarray(t.column("vec_id"), dtype=np.int64)
-        order = np.argsort(ids)
-        return ids[order], np.asarray(t.column("label"),
-                                      dtype=np.int64)[order]
-
-    labels_ref = _labels.remote(sf_dir)
+    labels_ref = broadcast_lookup(sf_dir, "embeddings", "vec_id",
+                                  ["label"])
     queries_ref = ray.put(_load_queries(sf_dir, n_queries))
     ds = _read_sized(sf_dir, "embeddings", columns=["vec_id", "embedding"])
     ds = ds.map_batches(annf.BruteForcePartialTopK,
@@ -976,9 +915,9 @@ def knn_classify(sf_dir: str, n_queries: int = 8, k: int = 10):
 
     def vote(group: pa.Table) -> pa.Table:
         merged = annf.merge_topk_group(group, k)
-        ids, labs = ray.get(labels_ref)
-        neigh = np.asarray(merged.column("neighbor_id"), dtype=np.int64)
-        votes = labs[np.searchsorted(ids, neigh)]
+        labels = ray.get(labels_ref)
+        _, row = labels.probe(np.asarray(merged.column("neighbor_id")))
+        votes = labels["label"][row]
         uniq, counts = np.unique(votes, return_counts=True)
         # majority; ties -> smaller label (np.unique returns sorted
         # labels and argmax takes the first maximum)
@@ -1008,7 +947,7 @@ def events_retention(sf_dir: str):
     (user, day) pairs are the combiner; ONE coarse-partition shuffle
     co-locates each user's day set; the per-partition kernel finds each
     user's first day and membership of first+1 / first+7 vectorized
-    (searchsorted over the partition's sorted pair list) and emits
+    (a probe of the partition's sorted pair list) and emits
     per-cohort partials, so the final groupby touches O(days) rows."""
     ds = _read_sized(sf_dir, "events", columns=["ts", "user_id"])
 
@@ -1035,9 +974,7 @@ def events_retention(sf_dir: str):
             key = uid.astype(np.int64) * np.int64(1 << 20) + day
             probe = f_uid.astype(np.int64) * np.int64(1 << 20) \
                 + f_day + offset
-            pos = np.searchsorted(key, probe)
-            pos[pos == len(key)] = 0
-            return key[pos] == probe
+            return Lookup(key, {}).probe(probe)[0]
 
         g = pd.DataFrame({
             "cohort": f_day,

@@ -24,9 +24,9 @@ import pandas as pd
 import pyarrow as pa
 
 from ..functions.textops import _TOKEN_RE
-from .joins import _pd_table
-from .table_ops import (_cents, _md5_bucket32, _partitioned_agg, _read,
-                        _read_sized)
+from .joins import _pd_table, broadcast_lookup, hash_join
+from .table_ops import (_cents, _md5_bucket32, _nation_lookup,
+                        _partitioned_agg, _read_sized)
 from .table_ops_r4 import _scalar_reduce
 
 # --------------------------------------------------- training-chunk split
@@ -44,7 +44,7 @@ def doc_chunks(sf_dir: str, chunk_tokens: int = 64):
     flat-map: no shuffle at any scale; chunk rows inherit the input's
     partitioning so a downstream pack/shuffle stage can stream them."""
     import hashlib
-    ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
+    ds = _read_sized(sf_dir, "documents", columns=["doc_id", "text"])
 
     def explode(batch: pa.Table) -> pa.Table:
         ids = batch.column("doc_id").to_pylist()
@@ -87,7 +87,7 @@ def token_diversity(sf_dir: str):
     rounding rule).  Entirely per-document — a streaming map_batches
     with one np.unique per doc, no shuffle; at 100 TB this runs at read
     bandwidth."""
-    ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
+    ds = _read_sized(sf_dir, "documents", columns=["doc_id", "text"])
 
     def stats(batch: pa.Table) -> pa.Table:
         ids = [str(d) for d in batch.column("doc_id").to_pylist()]
@@ -132,7 +132,7 @@ def pii_scrub(sf_dir: str):
     identical injection + regexp_replace and compares the scrubbed-text
     digest.  Streaming map_batches, no shuffle."""
     import hashlib
-    ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
+    ds = _read_sized(sf_dir, "documents", columns=["doc_id", "text"])
 
     def scrub(batch: pa.Table) -> pa.Table:
         ids = [str(d) for d in batch.column("doc_id").to_pylist()]
@@ -163,47 +163,32 @@ _BRACKET_SCHEMA = pa.schema([("revenue_cents", pa.int64()),
 def discount_bracket_revenue(sf_dir: str):
     """TPC-H Q19 flavor: revenue from lineitems matching one of three
     (brand, size, quantity) brackets — the classic OR-of-ANDs
-    multi-predicate join.  The part dimension is broadcast as worker-
-    built sorted arrays (at sf100 part is 20M rows ≈ 300 MB — object
-    store, not driver heap); lineitem streams once with a vectorized
-    bracket mask; the aggregate is one-row partials + constant merge."""
+    multi-predicate join.  The part dimension is a broadcast lookup of
+    brand number and size, built in a worker task (at sf100 part is 20M
+    rows ≈ 300 MB — object store, not the caller's heap); lineitem streams
+    once with a vectorized bracket mask over the rows whose part is
+    found; the aggregate is one-row partials + constant merge."""
+    import pyarrow.compute as pc
     import ray
 
-    @ray.remote
-    def _build_part(sf: str):
-        import pyarrow.parquet as pq
-        part = pq.read_table(os.path.join(sf, "part.parquet"),
-                             columns=["p_partkey", "p_brand", "p_size"])
-        k = np.asarray(part.column("p_partkey"), dtype=np.int64)
-        o = np.argsort(k)
-        brand = np.asarray(
-            [int(b.split("#")[1]) for b in part.column("p_brand").to_pylist()],
-            dtype=np.int64)[o]
-        size = np.asarray(part.column("p_size"), dtype=np.int64)[o]
-        return {"pk": k[o], "brand": brand, "size": size}
-
-    pref = _build_part.remote(sf_dir)
+    brand = pc.list_element(pc.split_pattern(pc.field("p_brand"), "#"), 1)
+    part_ref = broadcast_lookup(sf_dir, "part", "p_partkey",
+                                {"brand": brand.cast(pa.int64()),
+                                 "size": pc.field("p_size")})
     items = _read_sized(sf_dir, "lineitem",
                         columns=["l_partkey", "l_quantity",
                                  "l_extendedprice", "l_discount"])
 
     def partial(batch: pa.Table) -> pa.Table:
-        m = ray.get(pref)
-        pk, brand, size = m["pk"], m["brand"], m["size"]
-        lp = np.asarray(batch.column("l_partkey"), dtype=np.int64)
-        pos = np.clip(np.searchsorted(pk, lp), 0, len(pk) - 1)
-        b, s = brand[pos], size[pos]
-        qty = np.asarray(batch.column("l_quantity"))
-        # exact-key guard: a partkey absent from part must DROP, not
-        # adopt its searchsorted neighbor's brand/size (inner-join null
-        # semantics; TPC-H FK integrity makes this a no-op, but the
-        # operator must not rely on it)
-        found = pk[pos] == lp
-        mask = (found &
-                (((b <= 8) & (s <= 10) & (qty <= 15)) |
-                 ((b > 8) & (b <= 16) & (s <= 20) & (qty >= 10)
-                  & (qty <= 30)) |
-                 ((b > 16) & (s <= 30) & (qty >= 25))))
+        part = ray.get(part_ref)
+        # the rows whose part is found, narrowed to the bracket matches
+        mask, row = part.probe(np.asarray(batch.column("l_partkey")))
+        b, s = part["brand"][row], part["size"][row]
+        qty = np.asarray(batch.column("l_quantity"))[mask]
+        mask[mask] = (((b <= 8) & (s <= 10) & (qty <= 15)) |
+                      ((b > 8) & (b <= 16) & (s <= 20) & (qty >= 10)
+                       & (qty <= 30)) |
+                      ((b > 16) & (s <= 30) & (qty >= 25)))
         price = np.asarray(batch.column("l_extendedprice"))[mask]
         disc = np.asarray(batch.column("l_discount"))[mask]
         cents = _cents(price * (1.0 - disc))
@@ -239,7 +224,7 @@ def nation_trade_balance(sf_dir: str):
     survive, and one 25-key groupby folds them — the union-of-partials
     pattern that replaces a 3-way join with a single constant-size
     exchange."""
-    import ray.data
+    import ray
     from ray.data.aggregate import Sum
 
     def cust_partial(batch: pa.Table) -> pa.Table:
@@ -273,28 +258,27 @@ def nation_trade_balance(sf_dir: str):
                          "s_cents": pa.array(z, pa.int64())})
 
     cust = _read_sized(sf_dir, "customer",
-                 columns=["c_nationkey", "c_acctbal"]) \
+                       columns=["c_nationkey", "c_acctbal"]) \
         .map_batches(cust_partial, batch_format="pyarrow")
     supp = _read_sized(sf_dir, "supplier",
-                 columns=["s_nationkey", "s_acctbal"]) \
+                       columns=["s_nationkey", "s_acctbal"]) \
         .map_batches(supp_partial, batch_format="pyarrow")
     seed = _read_sized(sf_dir, "nation", columns=["n_nationkey"]) \
         .map_batches(nation_seed, batch_format="pyarrow")
     ds = cust.union(supp, seed).groupby("nationkey").aggregate(
         Sum("c_n"), Sum("c_cents"), Sum("s_n"), Sum("s_cents"))
 
-    # attach nation names via a broadcast lookup (25 rows — read in-task)
+    # nation names via the broadcast lookup; the inner join drops the
+    # partials of nation keys that no nation row has (the oracle's
+    # LEFT JOIN from nation never sees them)
+    nation_ref = _nation_lookup(sf_dir)
+
     def rename(batch: pa.Table) -> pa.Table:
-        import pyarrow.parquet as pq
-        nation = pq.read_table(os.path.join(sf_dir, "nation.parquet"),
-                               columns=["n_nationkey", "n_name"])
-        nk = np.asarray(nation.column("n_nationkey"), dtype=np.int64)
-        names = np.empty(nk.max() + 1, dtype=object)
-        names[nk] = np.asarray(nation.column("n_name").to_pylist(),
-                               dtype=object)
-        keys = np.asarray(batch.column("nationkey"), dtype=np.int64)
+        nation = ray.get(nation_ref)
+        hit, row = nation.probe(np.asarray(batch.column("nationkey")))
+        batch = batch.filter(pa.array(hit))
         return pa.table({
-            "n_name": pa.array(names[keys], pa.string()),
+            "n_name": pa.array(nation["n_name"][row], pa.string()),
             "n_customers": batch.column("sum(c_n)").cast(pa.int64()),
             "customer_cents": batch.column("sum(c_cents)").cast(pa.int64()),
             "n_suppliers": batch.column("sum(s_n)").cast(pa.int64()),
@@ -335,7 +319,6 @@ def events_anomaly(sf_dir: str, sigmas: float = 3.0):
     sum-order differences vs the oracle cannot flip a flag.  The flag +
     event_type partial fold rides inside the join's merge
     (``merge_post``), so the post-join exchange is O(event_types)."""
-    from .joins import hash_join
 
     ds = _read_sized(sf_dir, "events", columns=["user_id", "value"])
 
@@ -458,13 +441,14 @@ def html_block_stats(sf_dir: str, corpus_dir: str | None = None):
     import ray.data
     from ..functions.html_main import (_classify, parse_blocks,
                                        spans_from_blocks)
+    from ..sources.corpus import cached_dir
     from ..sources.html_corpus import (cached_html_corpus,
                                        synthesize_html_corpus)
     if corpus_dir is None:
         corpus_dir = cached_html_corpus()
-    elif not os.path.exists(os.path.join(corpus_dir,
-                                         "part-00000.parquet")):
-        synthesize_html_corpus(corpus_dir, n_docs=32, n_shards=4)
+    else:
+        cached_dir(corpus_dir, lambda d: synthesize_html_corpus(
+            d, n_docs=32, n_shards=4))
     ds = ray.data.read_parquet(corpus_dir, columns=["doc_id", "html"])
 
     def stats(batch: pa.Table) -> pa.Table:
@@ -517,7 +501,7 @@ def corpus_curation(sf_dir: str, min_chars: int = 100,
     from ray.data.aggregate import Sum
     from .table_ops import _partitioned_agg
     ds = _read_sized(sf_dir, "documents",
-               columns=["doc_id", "text", "lang", "n_chars"])
+                     columns=["doc_id", "text", "lang", "n_chars"])
 
     def screen(batch: pa.Table) -> pa.Table:
         texts = batch.column("text").to_pylist()
@@ -638,7 +622,6 @@ def media_training_manifest(sf_dir: str):
     corpus-sized, so they meet in the partitioned hash join (no
     broadcast), with the column projection folded into the partition
     merge."""
-    from .joins import hash_join
     from .table_ops import media_features
     gallery = spans_media_gallery(sf_dir)
 

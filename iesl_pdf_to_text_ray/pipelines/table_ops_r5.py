@@ -127,9 +127,8 @@ def dedup_simhash_pairs(sf_dir: str):
     dedup but not the full pair list; exact duplicates at that volume
     belong to dedup_exact, and the degradation is logged."""
     from ..functions import dedup as dd
-    from .table_ops import _read_sized as _rs
 
-    ds = _rs(sf_dir, "documents", columns=["doc_id", "text"])
+    ds = _read_sized(sf_dir, "documents", columns=["doc_id", "text"])
     ds = ds.map_batches(dd.drop_tokenless_batch, batch_format="pyarrow")
     ds = ds.map_batches(dd.simhash_batch, batch_format="pyarrow")
     ds = ds.map_batches(dd.simhash_band_explode, batch_format="pyarrow")
@@ -200,7 +199,6 @@ def pack_sequences(sf_dir: str, seq_len: int = 256, n_buckets: int = 64):
     merged by the final partitioned aggregate.  Everything the driver
     ever holds is one row per bucket."""
     import ray
-    from .table_ops import _read
     from ..functions.textops import _TOKEN_RE
 
     ds = _read_sized(sf_dir, "documents", columns=["doc_id", "text"])
@@ -220,8 +218,8 @@ def pack_sequences(sf_dir: str, seq_len: int = 256, n_buckets: int = 64):
     # back to the distributed aggregate.
     max_id = _doc_id_max_from_stats(sf_dir)
     if max_id is None:
-        max_id = int(_read(sf_dir, "documents", columns=["doc_id"])
-                     .max("doc_id"))
+        max_id = int(_read_sized(sf_dir, "documents", columns=["doc_id"])
+                           .max("doc_id"))
     span = max_id + 1
 
     def add_bucket(batch: pa.Table) -> pa.Table:
@@ -321,9 +319,8 @@ def bpe_merge_pairs(sf_dir: str, k: int = 20):
     batch (pair domain is tiny — printable-char bigrams), and the
     exchange is a small groupby + deterministic top-k."""
     from ..functions.textops import _TOKEN_RE
-    from .table_ops import _read
 
-    ds = _read(sf_dir, "documents", columns=["text"])
+    ds = _read_sized(sf_dir, "documents", columns=["text"])
 
     def partial(batch: pa.Table) -> pa.Table:
         from collections import Counter

@@ -4,7 +4,7 @@ distributed TF-IDF).
 
 House discipline (same as table_ops/_r4/_r4b/_r5): column-pruned reads,
 partial combiners before every exchange, money in integer cents
-(``_cents``), small sides broadcast via ray.put, big x big through the
+(``_cents``), small sides as broadcast lookups, big x big through the
 partitioned ``hash_join`` with aggregation folded into the merge, and an
 ANSI-SQL oracle per query in ``__ray_entry__.oracle_sql`` with identical
 column names and pinned (integer / libm-matched) value rules.
@@ -21,114 +21,46 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .joins import _pd_table, hash_join
-from .table_ops import _cents, _partitioned_agg, _read, _read_sized
+from .joins import _pd_table, broadcast_lookup, hash_join
+from .table_ops import _cents, _nation_lookup, _partitioned_agg, _read_sized
 
 # ---------------------------------------------------------------- helpers
 
-
-def _nation_lookup_ref(sf_dir: str, table: str, key_col: str,
-                       nk_col: str):
-    """(sorted key array, aligned nation-name array) for ``table``
-    (supplier or customer), built in a worker task and broadcast via the
-    returned object ref — the revenue_by_nation pattern
-    (table_ops.py:1232).  Small-side assumption: supplier/customer are
-    ~600x / ~40x smaller than lineitem; at a scale where they stop
-    fitting a worker heap, swap the lookup for a second hash_join (the
-    volume_shipping customer leg already does exactly that)."""
-    import ray
-
-    @ray.remote
-    def _build(sf: str):
-        import pyarrow.parquet as pq
-        t = pq.read_table(os.path.join(sf, f"{table}.parquet"),
-                          columns=[key_col, nk_col])
-        nation = pq.read_table(os.path.join(sf, "nation.parquet"),
-                               columns=["n_nationkey", "n_name"])
-        nkeys = np.asarray(nation.column("n_nationkey"), dtype=np.int64)
-        nnames = np.asarray(nation.column("n_name").to_pylist(),
-                            dtype=object)
-        name_by_key = np.empty(nkeys.max() + 1, dtype=object)
-        name_by_key[nkeys] = nnames
-        keys = np.asarray(t.column(key_col), dtype=np.int64)
-        names = name_by_key[np.asarray(t.column(nk_col), dtype=np.int64)]
-        order = np.argsort(keys)
-        return {"keys": keys[order], "nation": names[order]}
-
-    return _build.remote(sf_dir)
-
-
-def _sorted_lookup(keys: np.ndarray, values: np.ndarray,
-                   query: np.ndarray) -> np.ndarray:
-    """Exact sorted-array lookup (searchsorted + equality mask — the
-    ADVICE-flagged clipped-searchsorted mis-join guard).  Unmatched
-    query keys get None; callers on FK-clean TPC-H data see none."""
-    if len(keys) == 0:   # clip would wrap to -1 and index garbage
-        return np.full(len(query), None, dtype=object)
-    pos = np.clip(np.searchsorted(keys, query), 0, len(keys) - 1)
-    out = values[pos].copy()
-    out[keys[pos] != query] = None
-    return out
-
-
-def _nation_names_ref(sf_dir: str):
-    """Broadcast ref for the dense nationkey -> n_name array (25 rows)."""
-    import ray
-
-    @ray.remote
-    def _build(sf: str):
-        import pyarrow.parquet as pq
-        nation = pq.read_table(os.path.join(sf, "nation.parquet"),
-                               columns=["n_nationkey", "n_name"])
-        nkeys = np.asarray(nation.column("n_nationkey"), dtype=np.int64)
-        nnames = np.asarray(nation.column("n_name").to_pylist(),
-                            dtype=object)
-        name_by_key = np.empty(nkeys.max() + 1, dtype=object)
-        name_by_key[nkeys] = nnames
-        return name_by_key
-
-    return _build.remote(sf_dir)
-
-
-class _LineitemNationProject:
-    """Shared lineitem projection for the Q7/Q9 flavors: attach the
-    supplier's nation via the broadcast sorted lookup, extract the ship
-    year, compute revenue cents, and pass the per-query key columns
-    through.  Actor-pool stage: the lookup arrays deserialize once per
-    actor in __init__."""
-
-    _CASTS = {"l_orderkey": pa.int64(), "l_partkey": pa.int64(),
-              "l_quantity": pa.float64()}
-
-    def __init__(self, supp_ref, passthrough, nation_col, cents_col):
+def _shipped(supp_ref, keep: list[str]):
+    """Lineitem projection applied before the join's shuffle: the rows
+    whose supplier is found, as the ``keep`` columns plus the supplier's
+    nation key ``s_nat``, the ship year ``l_year`` and the revenue
+    ``cents`` — numeric columns only, so the shuffle stays narrow."""
+    def project(batch: pa.Table) -> pa.Table:
         import ray
-        d = ray.get(supp_ref)
-        self.keys, self.nation = d["keys"], d["nation"]
-        self.passthrough = passthrough
-        self.nation_col = nation_col
-        self.cents_col = cents_col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        sk = np.asarray(batch.column("l_suppkey"), dtype=np.int64)
-        nation = _sorted_lookup(self.keys, self.nation, sk)
+        supp = ray.get(supp_ref)
+        hit, row = supp.probe(np.asarray(batch.column("l_suppkey")))
+        batch = batch.filter(pa.array(hit))
         price = np.asarray(batch.column("l_extendedprice"),
                            dtype=np.float64)
         disc = np.asarray(batch.column("l_discount"), dtype=np.float64)
         year = batch.column("l_shipdate").to_pandas() \
             .dt.year.to_numpy(dtype=np.int64)
-        cols = {c: batch.column(c).cast(self._CASTS[c])
-                for c in self.passthrough}
-        cols[self.nation_col] = pa.array(nation, pa.string())
+        cols = {c: batch.column(c) for c in keep}
+        cols["s_nat"] = pa.array(supp["s_nationkey"][row], pa.int64())
         cols["l_year"] = pa.array(year, pa.int64())
-        cols[self.cents_col] = pa.array(_cents(price * (1.0 - disc)),
-                                        pa.int64())
+        cols["cents"] = pa.array(_cents(price * (1.0 - disc)), pa.int64())
         return pa.table(cols)
+    return project
+
+
+def _named_pairs(g: pd.DataFrame, nation) -> pd.DataFrame:
+    """Per-(s_nat, c_nat) partials named through the nation lookup,
+    keeping the pairs of different nations."""
+    g = nation.join(nation.join(g, "s_nat", supp_nation="n_name"),
+                    "c_nat", cust_nation="n_name")
+    return g[g["supp_nation"] != g["cust_nation"]]
 
 
 # ------------------------------------------------- TPC-H Q7: volume pairs
 
 _VOL_PARTIAL1 = pa.schema([
-    ("o_custkey", pa.int64()), ("supp_nation", pa.string()),
+    ("o_custkey", pa.int64()), ("s_nat", pa.int64()),
     ("l_year", pa.int64()), ("part_n", pa.int64()),
     ("part_cents", pa.int64())])
 _VOL_PARTIAL2 = pa.schema([
@@ -147,13 +79,14 @@ def volume_shipping(sf_dir: str,
     customer nation) pair per ship year, different-nation pairs only.
 
     Scale shape: chained partitioned hash joins, each with the reduction
-    folded into the merge so the data shrinks at every hop — lineitem x
-    orders (both fact-sized, one shuffle each) reduces inside the join
-    partition to per-(custkey, supp_nation, year) partials (supplier
-    nation attached beforehand via broadcast lookup — supplier is the
-    one genuinely small side); those partials x customer join on custkey
-    and reduce to per-(supp_nation, cust_nation, year) partials; the
-    final exchange is O(nations^2 x years).
+    folded into the merge so the data shrinks at every hop — lineitem
+    (supplier nation key attached before the shuffle via broadcast
+    lookup — supplier is the one genuinely small side) x orders (both
+    fact-sized, one shuffle each) reduces inside the join partition to
+    per-(custkey, supplier nation, year) partials; those partials x
+    customer join on custkey and reduce to per-(supp_nation,
+    cust_nation, year) partials; the final exchange is
+    O(nations^2 x years).
 
     The customer leg is SIZE-GATED (the neardup_components pattern):
     below ``broadcast_customer_max_bytes`` of customer parquet the
@@ -161,52 +94,44 @@ def volume_shipping(sf_dir: str,
     join's merge (one barrier saved — measured 9.3 -> 5.0 s at sf0.1);
     above it, customer rides a second partitioned hash join, because at
     100 TB the customer table no longer fits a worker heap."""
-    supp_ref = _nation_lookup_ref(sf_dir, "supplier", "s_suppkey",
-                                  "s_nationkey")
+    import ray
 
+    supp_ref = broadcast_lookup(sf_dir, "supplier", "s_suppkey",
+                                ["s_nationkey"])
+    nat_ref = _nation_lookup(sf_dir)
     li = _read_sized(sf_dir, "lineitem",
                      columns=["l_orderkey", "l_suppkey", "l_extendedprice",
-                              "l_discount", "l_shipdate"])
-
-    li = li.map_batches(_LineitemNationProject,
-                        fn_constructor_args=(supp_ref, ["l_orderkey"],
-                                             "supp_nation", "cents"),
-                        batch_format="pyarrow", concurrency=(1, 8))
+                              "l_discount", "l_shipdate"]) \
+        .map_batches(_shipped(supp_ref, ["l_orderkey"]),
+                     batch_format="pyarrow")
     orders = _read_sized(sf_dir, "orders",
                          columns=["o_orderkey", "o_custkey"])
 
     cust_bytes = os.path.getsize(
         os.path.join(sf_dir, "customer.parquet"))
     if cust_bytes <= broadcast_customer_max_bytes:
-        # small-customer path: attach cust_nation inside the first
-        # join's merge via the broadcast sorted lookup — the pair
+        # small-customer path: attach the customer's nation inside the
+        # first join's merge via the broadcast lookup — the pair
         # reduction happens in the same task, so no second exchange
-        cust_ref = _nation_lookup_ref(sf_dir, "customer", "c_custkey",
-                                      "c_nationkey")
+        cust_ref = broadcast_lookup(sf_dir, "customer", "c_custkey",
+                                    ["c_nationkey"])
 
         def fold_pairs(df: pd.DataFrame) -> pd.DataFrame:
-            import ray
-            d = ray.get(cust_ref)
-            cn = _sorted_lookup(
-                d["keys"], d["nation"],
-                df["o_custkey"].to_numpy(dtype=np.int64))
-            df = df.assign(cust_nation=cn)
-            df = df[df["cust_nation"] != df["supp_nation"]]
-            g = df.groupby(["supp_nation", "cust_nation", "l_year"],
+            cust, nation = ray.get([cust_ref, nat_ref])
+            df = cust.join(df, "o_custkey", c_nat="c_nationkey")
+            g = df.groupby(["s_nat", "c_nat", "l_year"],
                            as_index=False).agg(
                 part_n=("cents", "size"), part_cents=("cents", "sum"))
-            return g
+            return _named_pairs(g, nation)
 
         j2 = hash_join(li, orders, "l_orderkey", "o_orderkey",
                        n_parts=32, merge_post=fold_pairs,
                        post_schema=_VOL_PARTIAL2)
     else:
         def fold1(df: pd.DataFrame) -> pd.DataFrame:
-            g = df.groupby(["o_custkey", "supp_nation", "l_year"],
-                           as_index=False).agg(part_n=("cents", "size"),
-                                               part_cents=("cents",
-                                                           "sum"))
-            return g
+            return df.groupby(["o_custkey", "s_nat", "l_year"],
+                              as_index=False).agg(
+                part_n=("cents", "size"), part_cents=("cents", "sum"))
 
         j1 = hash_join(li, orders, "l_orderkey", "o_orderkey",
                        n_parts=32, merge_post=fold1,
@@ -214,22 +139,15 @@ def volume_shipping(sf_dir: str,
 
         cust = _read_sized(sf_dir, "customer",
                            columns=["c_custkey", "c_nationkey"])
-        nat_ref = _nation_names_ref(sf_dir)
 
         # the customer side ships only (c_custkey, c_nationkey) through
-        # the join; the 25-row nationkey -> name map is the only
-        # broadcast here
+        # the join; the 25-row nation lookup is the only broadcast here
         def fold2(df: pd.DataFrame) -> pd.DataFrame:
-            import ray
-            name_by_key = ray.get(nat_ref)
-            nk = df["c_nationkey"].to_numpy(dtype=np.int64)
-            df = df.assign(cust_nation=name_by_key[nk])
-            df = df[df["cust_nation"] != df["supp_nation"]]
-            g = df.groupby(["supp_nation", "cust_nation", "l_year"],
-                           as_index=False).agg(
+            g = df.rename(columns={"c_nationkey": "c_nat"}).groupby(
+                ["s_nat", "c_nat", "l_year"], as_index=False).agg(
                 part_n=("part_n", "sum"),
                 part_cents=("part_cents", "sum"))
-            return g
+            return _named_pairs(g, ray.get(nat_ref))
 
         j2 = hash_join(j1, cust, "o_custkey", "c_custkey", n_parts=16,
                        merge_post=fold2, post_schema=_VOL_PARTIAL2)
@@ -269,22 +187,20 @@ def product_profit(sf_dir: str):
 
     Scale shape: lineitem x part through the partitioned hash join (part
     is fact/30 in rows — too big to broadcast at 100 TB), supplier
-    nation attached beforehand via broadcast lookup, and the profit
-    reduction folded into the join merge so the post-join exchange is
-    O(nations x years)."""
-    supp_ref = _nation_lookup_ref(sf_dir, "supplier", "s_suppkey",
-                                  "s_nationkey")
+    nation key attached before the shuffle via broadcast lookup, and the
+    profit reduction folded into the join merge so the post-join
+    exchange is O(nations x years)."""
+    import ray
 
+    supp_ref = broadcast_lookup(sf_dir, "supplier", "s_suppkey",
+                                ["s_nationkey"])
+    nat_ref = _nation_lookup(sf_dir)
     li = _read_sized(sf_dir, "lineitem",
                      columns=["l_partkey", "l_suppkey", "l_quantity",
                               "l_extendedprice", "l_discount",
-                              "l_shipdate"])
-
-    li = li.map_batches(_LineitemNationProject,
-                        fn_constructor_args=(supp_ref,
-                                             ["l_partkey", "l_quantity"],
-                                             "nation", "rev_cents"),
-                        batch_format="pyarrow", concurrency=(1, 8))
+                              "l_shipdate"]) \
+        .map_batches(_shipped(supp_ref, ["l_partkey", "l_quantity"]),
+                     batch_format="pyarrow")
     part = _read_sized(sf_dir, "part",
                        columns=["p_partkey", "p_retailprice"])
 
@@ -294,10 +210,10 @@ def product_profit(sf_dir: str):
         # cost = cents((qty * retail) * 0.1); the oracle states the same
         # left-assoc multiply chain so the doubles round identically
         cost = _cents((qty * retail) * 0.1)
-        df = df.assign(profit=df["rev_cents"].to_numpy() - cost)
-        g = df.groupby(["nation", "l_year"], as_index=False).agg(
+        df = df.assign(profit=df["cents"].to_numpy() - cost)
+        g = df.groupby(["s_nat", "l_year"], as_index=False).agg(
             part_n=("profit", "size"), part_profit=("profit", "sum"))
-        return g
+        return ray.get(nat_ref).join(g, "s_nat", nation="n_name")
 
     j = hash_join(li, part, "l_partkey", "p_partkey", n_parts=32,
                   merge_post=fold, post_schema=_PROFIT_PARTIAL)
@@ -399,14 +315,15 @@ def rich_customers_no_orders(sf_dir: str, n_parts: int = 16):
     from ray.data.aggregate import Sum
     agg = ds.groupby("c_nationkey").aggregate(Sum("part_n"),
                                               Sum("part_cents"))
-    nat_ref = _nation_names_ref(sf_dir)
+    nat_ref = _nation_lookup(sf_dir)
 
     def rename(batch: pa.Table) -> pa.Table:
         import ray
-        name_by_key = ray.get(nat_ref)
-        nk = np.asarray(batch.column("c_nationkey"), dtype=np.int64)
+        nation = ray.get(nat_ref)
+        hit, row = nation.probe(np.asarray(batch.column("c_nationkey")))
+        batch = batch.filter(pa.array(hit))
         return pa.table({
-            "nation": pa.array(name_by_key[nk], pa.string()),
+            "nation": pa.array(nation["n_name"][row], pa.string()),
             "n_customers": batch.column("sum(part_n)").cast(pa.int64()),
             "total_cents":
                 batch.column("sum(part_cents)").cast(pa.int64())},
@@ -499,7 +416,7 @@ def tfidf_lang_topk(sf_dir: str, k: int = 10):
     from ..functions.textops import _TOKEN_RE
 
     docs = _read_sized(sf_dir, "documents", columns=["lang", "text"])
-    n_docs = _read(sf_dir, "documents", columns=["doc_id"]).count()
+    n_docs = _read_sized(sf_dir, "documents", columns=["doc_id"]).count()
 
     def partial(batch: pa.Table) -> pa.Table:
         langs = batch.column("lang").to_pylist()

@@ -78,9 +78,8 @@ def _cluster_keep_best(sf_dir: str, lab_ref):
     meta = _read_sized(sf_dir, "documents", columns=["doc_id", "n_chars"])
 
     def fold(batch: pa.Table) -> pa.Table:
-        keys, comps = ray.get(lab_ref)
         d = np.asarray(batch.column("doc_id"), dtype=np.int64)
-        comp = attach_labels(keys, comps, d)
+        comp = attach_labels(ray.get(lab_ref), d)
         df = pd.DataFrame({
             "component": comp, "doc_id": d,
             "n_chars": np.asarray(batch.column("n_chars"),
@@ -530,7 +529,7 @@ def incremental_dedup(sf_dir: str):
 
     @ray.remote
     def _cluster_info(lab):
-        keys, comps = lab
+        keys, comps = lab.keys, lab["component"]
         is_new = keys % 10 == 0
         has_index = np.unique(comps[~is_new])
         # first (min doc_id) new member per component: keys are sorted,
@@ -545,11 +544,10 @@ def incremental_dedup(sf_dir: str):
     ds = _read_sized(sf_dir, "documents", columns=["doc_id"])
 
     def verdict(batch: pa.Table) -> pa.Table:
-        keys, comps = ray.get(lab_ref)
         has_index, first_new = ray.get(info_ref)
         d = np.asarray(batch.column("doc_id"), dtype=np.int64)
         d = d[d % 10 == 0]
-        comp = attach_labels(keys, comps, d)
+        comp = attach_labels(ray.get(lab_ref), d)
         in_index = np.isin(comp, has_index)
         first = np.array([first_new.get(int(c), int(k)) == int(k)
                           for k, c in zip(d, comp)])
@@ -1199,9 +1197,8 @@ def leakage_safe_split(sf_dir: str, train_pct: int = 90):
     ds = _read_sized(sf_dir, "documents", columns=["doc_id"])
 
     def tag(batch: pa.Table) -> pa.Table:
-        keys, comps = ray.get(lab_ref)
         d = np.asarray(batch.column("doc_id"), dtype=np.int64)
-        comp = attach_labels(keys, comps, d)
+        comp = attach_labels(ray.get(lab_ref), d)
         bucket = _md5_bucket32(comp.tolist()) % 100
         split = np.where(bucket < train_pct, "train", "val")
         return pa.table({

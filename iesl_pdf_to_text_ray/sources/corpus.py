@@ -116,6 +116,28 @@ def base_documents_digest() -> str:
     return h.hexdigest()[:12]
 
 
+def cached_dir(path: str, build) -> str:
+    """``path``, made once by ``build(tmp)`` in a temporary sibling
+    directory that is then renamed into place: a ``path`` that exists is
+    complete, and a build that dies leaves only a ``.tmp-*`` sibling.
+    Key ``path`` by everything the contents depend on."""
+    import shutil
+    import tempfile
+    if not os.path.isdir(path):
+        parent = os.path.dirname(path)
+        os.makedirs(parent, exist_ok=True)
+        tmp = tempfile.mkdtemp(dir=parent, prefix=".tmp-")
+        try:
+            build(tmp)
+            os.rename(tmp, path)
+        except OSError:
+            if not os.path.isdir(path):     # a fault, not a lost race
+                raise
+        finally:
+            shutil.rmtree(tmp, ignore_errors=True)
+    return path
+
+
 def synthesize_pdf_corpus(out_dir: str, n_docs: int = 64,
                           n_shards: int = 8) -> str:
     """Deterministic corpus: doc i replicates base document i%4, with

@@ -114,16 +114,19 @@ def expected_spans(doc_i: int, n_paras: int = 4) -> list[dict]:
 
 def cached_html_corpus(base: str = "/tmp/graft_corpus_cache",
                        n_docs: int = 32, n_shards: int = 4) -> str:
-    """Shared synthetic-corpus cache, keyed on a generator fingerprint
-    (md5 of doc 0's rendered HTML): a stale corpus written by an older
-    or differently-parameterized generator regenerates instead of
-    silently changing downstream results (ADVICE r4)."""
+    """Shared synthetic-corpus cache, keyed on the corpus shape and a
+    generator fingerprint (md5 of doc 0's rendered HTML): a stale corpus
+    written by an older or differently-parameterized generator
+    regenerates instead of silently changing downstream results, and a
+    half-written one is never seen (``corpus.cached_dir``)."""
     import hashlib
+
+    from .corpus import cached_dir
     fp = hashlib.md5(render_doc(0).encode("utf-8")).hexdigest()[:8]
-    d = os.path.join(base, f"html_n{n_docs}_{fp}")
-    if not os.path.exists(os.path.join(d, "part-00000.parquet")):
-        synthesize_html_corpus(d, n_docs=n_docs, n_shards=n_shards)
-    return d
+    return cached_dir(
+        os.path.join(base, f"html_n{n_docs}_s{n_shards}_{fp}"),
+        lambda d: synthesize_html_corpus(d, n_docs=n_docs,
+                                         n_shards=n_shards))
 
 
 def synthesize_html_corpus(out_dir: str, n_docs: int = 64,

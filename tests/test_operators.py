@@ -7,16 +7,7 @@ import pandas as pd
 import pyarrow as pa
 import pytest
 
-SF = "/root/testdata/sf0.001"
-
-
-def _pd(res):
-    import ray.data
-    if isinstance(res, ray.data.Dataset):
-        return res.to_pandas()
-    if isinstance(res, pa.Table):
-        return res.to_pandas()
-    return res
+from conftest import SF, _assert_matches_oracle, _pd
 
 
 def test_minhash_finds_planted_near_dups(ray_session, tmp_path):
@@ -217,3 +208,21 @@ def test_rolling_fingerprint_locality():
     assert out["rolling_fp"][0] == out["rolling_fp"][1]
     assert out["rolling_fp"][2] != out["rolling_fp"][0]
     assert all(len(f) == 16 for f in out["rolling_fp"])
+
+
+def test_lang_stats_rounds_ties_away_from_zero(ray_session, tmp_path):
+    """A mean that ends in an exact half at the 7th decimal rounds up,
+    as the oracle's round does: 34,153 chars over 128 docs is
+    266.8203125 -> 266.820313 (round half to even gave 266.820312)."""
+    import pyarrow.parquet as pq
+    from iesl_pdf_to_text_ray.pipelines.table_ops import lang_stats
+    n_chars = [267] * 105 + [266] * 23
+    assert sum(n_chars) == 34_153
+    pq.write_table(pa.table({
+        "doc_id": pa.array(range(128), pa.int64()),
+        "lang": ["es"] * 128,
+        "n_chars": pa.array(n_chars, pa.int64()),
+        "text": ["x"] * 128}), str(tmp_path / "documents.parquet"))
+    got = _pd(lang_stats(str(tmp_path)))
+    assert got["avg_chars"].tolist() == [266.820313]
+    _assert_matches_oracle("lang_stats", got, str(tmp_path))

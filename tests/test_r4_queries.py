@@ -6,85 +6,45 @@ edge cases — ties, short windows, strict funnel ordering)."""
 
 from __future__ import annotations
 
-import duckdb
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-SF = "/root/testdata/sf0.001"
-
-
-def _pd(res):
-    import ray.data
-    if isinstance(res, ray.data.Dataset):
-        return res.to_pandas()
-    if isinstance(res, pa.Table):
-        return res.to_pandas()
-    return res
-
-
-def _con(sf=SF, tables=("lineitem", "orders", "customer", "supplier",
-                        "nation", "region", "part", "events",
-                        "documents", "embeddings")):
-    con = duckdb.connect()
-    for t in tables:
-        con.execute(f"CREATE VIEW {t} AS SELECT * FROM "
-                    f"read_parquet('{sf}/{t}.parquet')")
-    return con
-
-
-def _canon(df: pd.DataFrame) -> pd.DataFrame:
-    df = df[sorted(df.columns)]
-    df = df.sort_values(by=list(df.columns)).reset_index(drop=True)
-    for c in df.columns:
-        if pd.api.types.is_float_dtype(df[c]):
-            df[c] = df[c].round(6)
-        if pd.api.types.is_integer_dtype(df[c]):
-            df[c] = df[c].astype("int64")
-    return df
-
-
-def _assert_matches_oracle(name: str, sf=SF):
-    import __ray_entry__ as E
-    mine = _canon(_pd(E.queries()[name](sf)))
-    gold = _canon(_con(sf).execute(E.oracle_sql()[name]).fetchdf())
-    assert list(mine.columns) == list(gold.columns)
-    assert len(mine) == len(gold), (len(mine), len(gold))
-    pd.testing.assert_frame_equal(mine, gold)
+from conftest import SF, _assert_matches_oracle, _canon, _con, _pd
 
 
 # ------------------------------------------------ TPC-H flavored scans
 
 def test_forecast_revenue_oracle(ray_session):
-    _assert_matches_oracle("forecast_revenue")
+    _assert_matches_oracle("forecast_revenue", decimals=6)
 
 
 def test_promo_revenue_oracle(ray_session):
-    _assert_matches_oracle("promo_revenue")
+    _assert_matches_oracle("promo_revenue", decimals=6)
 
 
 def test_small_qty_revenue_oracle(ray_session):
-    _assert_matches_oracle("small_qty_revenue")
+    _assert_matches_oracle("small_qty_revenue", decimals=6)
 
 
 def test_shipping_priority_oracle(ray_session):
-    _assert_matches_oracle("shipping_priority")
+    _assert_matches_oracle("shipping_priority", decimals=6)
 
 
 def test_returned_items_oracle(ray_session):
-    _assert_matches_oracle("returned_items")
+    _assert_matches_oracle("returned_items", decimals=6)
 
 
 def test_supplier_balance_by_region_oracle(ray_session):
-    _assert_matches_oracle("supplier_balance_by_region")
+    _assert_matches_oracle("supplier_balance_by_region", decimals=6)
 
 
 def test_large_orders_low_threshold(ray_session):
     """sf0.001 has few >250-qty orders; run with a lower threshold so
     the qualifying set is non-trivial and compare to matching SQL."""
     from iesl_pdf_to_text_ray.pipelines.table_ops_r4 import large_orders
-    mine = _canon(_pd(large_orders(SF, threshold=150, k=30)))
+    mine = _canon(_pd(large_orders(SF, threshold=150, k=30)), 6)
     gold = _canon(_con().execute("""
         WITH q AS (SELECT l_orderkey,
                           CAST(sum(l_quantity) AS BIGINT) AS sum_qty
@@ -95,7 +55,7 @@ def test_large_orders_low_threshold(ray_session):
                    AS total_cents, sum_qty
         FROM orders JOIN q ON o_orderkey = q.l_orderkey
         ORDER BY sum_qty DESC, o_orderkey ASC LIMIT 30
-    """).fetchdf())
+    """).fetchdf(), 6)
     assert len(mine) > 0
     pd.testing.assert_frame_equal(mine, gold)
 
@@ -144,7 +104,7 @@ def test_events_moving_sum_short_and_full_windows(ray_session, tmp_path):
 
 
 def test_events_moving_sum_oracle(ray_session):
-    _assert_matches_oracle("events_moving_sum")
+    _assert_matches_oracle("events_moving_sum", decimals=6)
 
 
 def test_events_type_transitions_synthetic(ray_session, tmp_path):
@@ -167,7 +127,7 @@ def test_events_type_transitions_synthetic(ray_session, tmp_path):
 
 
 def test_events_type_transitions_oracle(ray_session):
-    _assert_matches_oracle("events_type_transitions")
+    _assert_matches_oracle("events_type_transitions", decimals=6)
 
 
 # ------------------------------------------------- behavioral analytics
@@ -200,27 +160,27 @@ def test_events_funnel_strict_ordering(ray_session, tmp_path):
 
 
 def test_events_funnel_oracle(ray_session):
-    _assert_matches_oracle("events_funnel")
+    _assert_matches_oracle("events_funnel", decimals=6)
 
 
 def test_daily_active_users_oracle(ray_session):
-    _assert_matches_oracle("daily_active_users")
+    _assert_matches_oracle("daily_active_users", decimals=6)
 
 
 # ------------------------------------------------------ corpus queries
 
 def test_doc_length_histogram_oracle(ray_session):
-    _assert_matches_oracle("doc_length_histogram")
+    _assert_matches_oracle("doc_length_histogram", decimals=6)
 
 
 def test_keyword_doc_counts_oracle(ray_session):
-    _assert_matches_oracle("keyword_doc_counts")
+    _assert_matches_oracle("keyword_doc_counts", decimals=6)
 
 
 # ---------------------------------------------------------- embeddings
 
 def test_label_centroids_oracle(ray_session):
-    _assert_matches_oracle("label_centroids")
+    _assert_matches_oracle("label_centroids", decimals=6)
 
 
 def test_label_centroids_matches_numpy(ray_session):
@@ -271,7 +231,7 @@ def test_ann_lsh_no_duplicate_neighbors(ray_session):
 # ----------------------------------------------- semi-structured props
 
 def test_events_props_stats_oracle(ray_session):
-    _assert_matches_oracle("events_props_stats")
+    _assert_matches_oracle("events_props_stats", decimals=6)
 
 
 def test_events_props_stats_malformed_rows_dropped(ray_session, tmp_path):
@@ -293,7 +253,7 @@ def test_events_props_stats_malformed_rows_dropped(ray_session, tmp_path):
 
 
 def test_knn_classify_oracle(ray_session):
-    _assert_matches_oracle("knn_classify")
+    _assert_matches_oracle("knn_classify", decimals=6)
 
 
 def test_knn_classify_majority_semantics(ray_session):
@@ -315,7 +275,7 @@ def test_knn_classify_majority_semantics(ray_session):
 
 
 def test_events_retention_oracle(ray_session):
-    _assert_matches_oracle("events_retention")
+    _assert_matches_oracle("events_retention", decimals=6)
 
 
 def test_events_retention_synthetic(ray_session, tmp_path):
@@ -347,7 +307,7 @@ def test_events_retention_synthetic(ray_session, tmp_path):
 
 
 def test_neardup_degree_oracle(ray_session):
-    _assert_matches_oracle("neardup_degree")
+    _assert_matches_oracle("neardup_degree", decimals=6)
 
 
 def test_neardup_degree_consistent_with_pairs(ray_session):

@@ -7,49 +7,12 @@ from __future__ import annotations
 import hashlib
 import re
 
-import duckdb
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pytest
 
-SF = "/root/testdata/sf0.001"
-
-
-def _pd(res):
-    import ray.data
-    if isinstance(res, ray.data.Dataset):
-        return res.to_pandas()
-    if isinstance(res, pa.Table):
-        return res.to_pandas()
-    return res
-
-
-def _oracle(name: str, sf=SF) -> pd.DataFrame:
-    import __ray_entry__ as E
-    con = duckdb.connect()
-    for t in ("documents", "events", "customer", "supplier", "nation",
-              "part", "lineitem"):
-        con.execute(f"CREATE VIEW {t} AS SELECT * FROM "
-                    f"read_parquet('{sf}/{t}.parquet')")
-    return con.execute(E.oracle_sql()[name]).fetchdf()
-
-
-def _canon(df: pd.DataFrame) -> pd.DataFrame:
-    df = df[sorted(df.columns)]
-    return df.sort_values(by=list(df.columns)).reset_index(drop=True)
-
-
-def _assert_matches_oracle(name: str, got: pd.DataFrame):
-    gold = _oracle(name)
-    a, b = _canon(got), _canon(gold)
-    for c in a.columns:
-        if pd.api.types.is_integer_dtype(a[c]):
-            a[c] = a[c].astype("int64")
-    for c in b.columns:
-        if pd.api.types.is_integer_dtype(b[c]):
-            b[c] = b[c].astype("int64")
-    pd.testing.assert_frame_equal(a, b, check_dtype=False)
+from conftest import SF, _assert_matches_oracle, _pd
 
 
 # ------------------------------------------------------------- doc_chunks

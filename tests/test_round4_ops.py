@@ -11,16 +11,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
-SF = "/root/testdata/sf0.001"
-
-
-def _pd(res):
-    import ray.data
-    if isinstance(res, ray.data.Dataset):
-        return res.to_pandas()
-    if isinstance(res, pa.Table):
-        return res.to_pandas()
-    return res
+from conftest import _pd
 
 
 # -------------------------------------------------- range pairs sort key

@@ -9,16 +9,7 @@ import pandas as pd
 import pyarrow as pa
 import pytest
 
-SF = "/root/testdata/sf0.001"
-
-
-def _pd(res):
-    import ray.data
-    if isinstance(res, ray.data.Dataset):
-        return res.to_pandas()
-    if isinstance(res, pa.Table):
-        return res.to_pandas()
-    return res
+from conftest import SF, _pd
 
 
 def _zipf_frames(n_left=20_000, hot_share=0.4, n_keys=500, seed=11):
@@ -256,6 +247,26 @@ def test_cached_html_corpus_fingerprints_generator(tmp_path, monkeypatch):
                         lambda i: orig(i) + "<!-- v2 -->")
     d2 = hc.cached_html_corpus(str(tmp_path), n_docs=4, n_shards=1)
     assert d1 != d2
+
+
+def test_cached_dir_never_shows_a_half_built_corpus(tmp_path):
+    """A build that dies leaves no directory under the cache key, so the
+    next call builds again instead of reusing a half-written corpus."""
+    import os
+    from iesl_pdf_to_text_ray.sources.corpus import cached_dir
+    path = str(tmp_path / "corpus")
+
+    def killed(d):
+        open(os.path.join(d, "part-00000.parquet"), "w").close()
+        raise RuntimeError("killed mid-write")
+
+    with pytest.raises(RuntimeError):
+        cached_dir(path, killed)
+    assert os.listdir(tmp_path) == []
+    builds = []
+    for _ in range(2):
+        assert cached_dir(path, builds.append) == path
+    assert len(builds) == 1 and os.path.isdir(path)
 
 
 def test_decode_jpeg_skips_junk_before_soi():

@@ -14,40 +14,7 @@ import pandas as pd
 import pyarrow as pa
 import pytest
 
-SF = "/root/testdata/sf0.001"
-
-
-def _pd(res):
-    import ray.data
-    if isinstance(res, ray.data.Dataset):
-        return res.to_pandas()
-    if isinstance(res, pa.Table):
-        return res.to_pandas()
-    return res
-
-
-def _oracle(name: str, sf=SF) -> pd.DataFrame:
-    import __ray_entry__ as E
-    con = duckdb.connect()
-    for t in ("documents", "events", "customer", "supplier", "nation",
-              "part", "orders", "lineitem"):
-        con.execute(f"CREATE VIEW {t} AS SELECT * FROM "
-                    f"read_parquet('{sf}/{t}.parquet')")
-    return con.execute(E.oracle_sql()[name]).fetchdf()
-
-
-def _canon(df: pd.DataFrame) -> pd.DataFrame:
-    df = df[sorted(df.columns)]
-    df = df.sort_values(by=list(df.columns)).reset_index(drop=True)
-    for c in df.columns:
-        if pd.api.types.is_integer_dtype(df[c]):
-            df[c] = df[c].astype("int64")
-    return df
-
-
-def _assert_matches_oracle(name: str, got: pd.DataFrame):
-    pd.testing.assert_frame_equal(_canon(got), _canon(_oracle(name)),
-                                  check_dtype=False)
+from conftest import SF, _assert_matches_oracle, _pd
 
 
 # ----------------------------------------------------- relational trio

@@ -5,43 +5,10 @@ from __future__ import annotations
 
 import math
 
-import duckdb
 import numpy as np
 import pandas as pd
-import pyarrow as pa
 
-SF = "/root/testdata/sf0.001"
-
-
-def _pd(res):
-    import ray.data
-    if isinstance(res, ray.data.Dataset):
-        return res.to_pandas()
-    if isinstance(res, pa.Table):
-        return res.to_pandas()
-    return res
-
-
-def _oracle(name: str, sf=SF) -> pd.DataFrame:
-    import __ray_entry__ as E
-    con = duckdb.connect()
-    con.execute(f"CREATE VIEW documents AS SELECT * FROM "
-                f"read_parquet('{sf}/documents.parquet')")
-    return con.execute(E.oracle_sql()[name]).fetchdf()
-
-
-def _canon(df: pd.DataFrame) -> pd.DataFrame:
-    df = df[sorted(df.columns)]
-    df = df.sort_values(by=list(df.columns)).reset_index(drop=True)
-    for c in df.columns:
-        if pd.api.types.is_integer_dtype(df[c]):
-            df[c] = df[c].astype("int64")
-    return df
-
-
-def _assert_matches_oracle(name: str, got: pd.DataFrame):
-    pd.testing.assert_frame_equal(_canon(got), _canon(_oracle(name)),
-                                  check_dtype=False)
+from conftest import SF, _assert_matches_oracle, _canon, _pd
 
 
 # ------------------------------------------------ fuzzy_dedup_curation
@@ -137,15 +104,6 @@ def test_bigram_lm_score_one_doc_recompute(ray_session):
     assert row["avg_nll_micro"] == nll_sum // len(docs_bgs[doc_id])
 
 
-def _oracle_multi(name: str, tables, sf=SF) -> pd.DataFrame:
-    import __ray_entry__ as E
-    con = duckdb.connect()
-    for t in tables:
-        con.execute(f"CREATE VIEW {t} AS SELECT * FROM "
-                    f"read_parquet('{sf}/{t}.parquet')")
-    return con.execute(E.oracle_sql()[name]).fetchdf()
-
-
 # ------------------------------------------- users_vs_customers_outer
 
 def test_users_vs_customers_outer(ray_session):
@@ -154,10 +112,7 @@ def test_users_vs_customers_outer(ray_session):
     got = _pd(users_vs_customers_outer(SF))
     # the roster is bigger than the active-user set: genuinely outer
     assert (got["is_customer"] == 1).sum() > (got["n_events"] > 0).sum()
-    want = _oracle_multi("users_vs_customers_outer",
-                         ["events", "customer"])
-    pd.testing.assert_frame_equal(_canon(got), _canon(want),
-                                  check_dtype=False)
+    _assert_matches_oracle("users_vs_customers_outer", got)
 
 
 # ------------------------------------------------------- revenue_rollup
@@ -174,9 +129,7 @@ def test_revenue_rollup(ray_session):
     assert fine["revenue_cents"].sum() == mid["revenue_cents"].sum() \
         == top["revenue_cents"].iloc[0]
     assert fine["n_orders"].sum() == top["n_orders"].iloc[0]
-    want = _oracle_multi("revenue_rollup", ["orders"])
-    pd.testing.assert_frame_equal(_canon(got), _canon(want),
-                                  check_dtype=False)
+    _assert_matches_oracle("revenue_rollup", got)
 
 
 # -------------------------------------------------- incremental_dedup
@@ -191,9 +144,7 @@ def test_incremental_dedup(ray_session):
     assert (got["status"] == "kept").sum() > 0
     # the planted near-dup clusters cross the shard boundary
     assert (got["status"] == "dup_of_index").sum() > 0
-    want = _oracle_multi("incremental_dedup", ["documents"])
-    pd.testing.assert_frame_equal(_canon(got), _canon(want),
-                                  check_dtype=False)
+    _assert_matches_oracle("incremental_dedup", got)
 
 
 # --------------------------------------------------------- bpe_train
@@ -305,9 +256,7 @@ def test_quality_gate(ray_session):
     # gate rule holds within the result: everything >= its lang's min
     for lang, g in got.groupby("lang"):
         assert (g["alpha_ppm"] >= g["alpha_ppm"].min()).all()
-    want = _oracle_multi("quality_gate", ["documents"])
-    pd.testing.assert_frame_equal(_canon(got), _canon(want),
-                                  check_dtype=False)
+    _assert_matches_oracle("quality_gate", got)
 
 
 # -------------------------------------------------- mixture_resample
@@ -317,9 +266,7 @@ def test_mixture_resample(ray_session):
         mixture_resample
     got = _pd(mixture_resample(SF))
     assert len(got) > 0
-    want = _oracle_multi("mixture_resample", ["documents"])
-    pd.testing.assert_frame_equal(_canon(got), _canon(want),
-                                  check_dtype=False)
+    _assert_matches_oracle("mixture_resample", got)
 
 
 # ------------------------------------------------ leakage_safe_split
@@ -338,9 +285,7 @@ def test_leakage_safe_split(ray_session):
     # and the clusters are real (some have >1 member)
     labels = _pd(neardup_components(SF))
     assert labels.groupby("component").size().max() > 1
-    want = _oracle_multi("leakage_safe_split", ["documents"])
-    pd.testing.assert_frame_equal(_canon(got), _canon(want),
-                                  check_dtype=False)
+    _assert_matches_oracle("leakage_safe_split", got)
 
 
 # ------------------------------------------------- kcenter_sample
@@ -400,14 +345,6 @@ def test_token_heavy_hitters_sketch(ray_session):
 
 # ---------------------------------------------- domain_mixture_weights
 
-def _oracle_emb(name: str, sf=SF) -> pd.DataFrame:
-    import __ray_entry__ as E
-    con = duckdb.connect()
-    con.execute(f"CREATE VIEW embeddings AS SELECT * FROM "
-                f"read_parquet('{sf}/embeddings.parquet')")
-    return con.execute(E.oracle_sql()[name]).fetchdf()
-
-
 def _local_lloyd(sf: str, k=8, max_iters=10, tol=1e-9):
     """From-scratch single-process Lloyd's with the same init/tie
     rules — the reference for the distributed implementation."""
@@ -438,10 +375,7 @@ def test_kmeans_one_step_matches_oracle(ray_session):
         kmeans_one_step
     got = _pd(kmeans_one_step(SF))
     assert got["n_members"].sum() == 500 * 64  # every vec in a cluster
-    canon_g = _canon(got.round({"centroid_val": 6}))
-    canon_o = _canon(_oracle_emb("kmeans_one_step")
-                     .round({"centroid_val": 6}))
-    pd.testing.assert_frame_equal(canon_g, canon_o, check_dtype=False)
+    _assert_matches_oracle("kmeans_one_step", got, decimals=6)
 
 
 def test_kmeans_cluster_matches_local_reference(ray_session):
