@@ -67,8 +67,9 @@ def extract_html_corpus_query(sf_dir: str):
     tests/test_html_extract.py."""
     from iesl_pdf_to_text_ray.sources.html_corpus import \
         cached_html_corpus
-    from iesl_pdf_to_text_ray.stages.html_extract import (
-        extract_html_dataset, spans_digest)
+    from iesl_pdf_to_text_ray.stages.extract import spans_digest
+    from iesl_pdf_to_text_ray.stages.html_extract import \
+        extract_html_dataset
     d = cached_html_corpus(_CORPUS_CACHE, n_docs=32, n_shards=4)
     return _summarize(extract_html_dataset(d, concurrency=(1, 4),
                                            batch_size=8), spans_digest)

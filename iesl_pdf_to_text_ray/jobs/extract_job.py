@@ -11,10 +11,12 @@ fixed-size multi-node cluster, resumable from per-partition lineage:
 
 The job body is ``extract_to_dir`` (pipelines/extract_pipeline.py):
 one actor task per pending corpus shard that parses it and writes its
-parquet atomically with a `_lineage/partition=*.json` record (with the
-optional page-level skew split: groupby(partition_id) writes after the
-doc_id reassembly).  Re-submitting after a kill
-skips completed partitions (tests/test_kill_resume.py).
+parquet atomically with a `_lineage/partition=*.json` record.  With
+``--split-pages`` the page-split chain (split_tasks -> ExtractShards)
+runs instead, and its one shuffle, groupby(partition_id), both
+reassembles each partition's documents and writes the partition.
+Re-submitting after a kill skips completed partitions
+(tests/test_kill_resume.py).
 
 ray.init is guarded: under ``ray job submit`` the cluster address comes
 from the environment; standalone runs fall back to a local session.

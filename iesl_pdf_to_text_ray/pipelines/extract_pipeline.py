@@ -9,9 +9,11 @@ Ray-Data-native topology (streaming end to end, SURVEY.md §7):
     from_items(pending shard paths)
       -> map_batches(ExtractPartitions, actor pool) # parse one shard, write
                                                     # its parquet + lineage
-  (skew path) split_tasks -> map_batches(ExtractShards)
-    -> groupby(doc_id).map_groups(reassemble)       # the one ordering shuffle
-    [extract_to_dir: -> groupby(partition_id).map_groups(writer)]
+  page-split runs (split_pages=True; the ranged raw-file path) share one
+  chain, _sharded, over pointer-only (doc_id, path, n_pages) rows:
+    split_tasks -> map_batches(ExtractShards)       # fan out, read, parse
+      -> groupby(doc_id).map_groups(reassemble)     # the one shuffle
+    [extract_to_dir: groupby(partition_id) reassembles and writes at once]
 
 Resume: completed partitions are anti-joined away from the input file list
 before anything is read (state/lineage.py).
@@ -19,13 +21,15 @@ before anything is read (state/lineage.py).
 
 from __future__ import annotations
 
+import functools
 import glob
 import os
 
 import pyarrow as pa
 
-from ..stages.extract import (ExtractDocs, ExtractShards,
-                              reassemble_groups, spans_digest, split_tasks)
+from ..stages.extract import (PAGES_PER_SHARD, SPLIT_PAGE_THRESHOLD,
+                              ExtractDocs, ExtractShards, reassemble_groups,
+                              spans_digest, split_tasks)
 from ..state import lineage
 
 
@@ -33,70 +37,68 @@ def _input_shards(corpus_dir: str) -> list[str]:
     return sorted(glob.glob(os.path.join(corpus_dir, "*.parquet")))
 
 
-def extract_dataset(corpus_dir_or_ds, *, concurrency=None, batch_size: int = 8,
-                    split_pages: bool = False, split_threshold: int | None = None,
-                    pages_per_shard: int | None = None):
+def _sharded(ds, *, threshold: int, pages_per_shard: int, batch_size: int,
+             concurrency):
+    """The page-split chain over (doc_id, path, n_pages[, partition_id])
+    rows: split_tasks, then ExtractShards.  The split knobs are bound into
+    the worker UDF via functools.partial (pickled by value — module-global
+    overrides would not reach workers).  Callers group the shard rows for
+    ``reassemble_groups``."""
+    ds = ds.map_batches(
+        functools.partial(split_tasks, threshold=threshold,
+                          pages_per_shard=pages_per_shard),
+        batch_format="pyarrow", batch_size=batch_size)
+    return ds.map_batches(ExtractShards, batch_format="pyarrow",
+                          batch_size=batch_size, concurrency=concurrency)
+
+
+def extract_dataset(corpus_dir_or_ds, *, concurrency=(1, 8),
+                    batch_size: int = 8, split_pages: bool = False,
+                    split_threshold: int = SPLIT_PAGE_THRESHOLD,
+                    pages_per_shard: int = PAGES_PER_SHARD):
     """Build the lazy extraction Dataset (no output writing).
 
-    ``split_threshold`` / ``pages_per_shard`` parameterize the skew split
-    and are bound into the worker UDF via functools.partial (pickled by
-    value — module-global overrides would not reach workers).
+    ``corpus_dir_or_ds`` is a corpus directory or, for the whole-document
+    path only, a Dataset of (doc_id, pdf_bytes) rows: the page split reads
+    only (doc_id, n_pages) and points its shards into the corpus files.
     """
-    import functools
-
     import ray.data
-    from ..stages import extract as ex
-    if concurrency is None:
-        concurrency = (1, 8)  # autoscaling actor pool
-    threshold = (ex.SPLIT_PAGE_THRESHOLD if split_threshold is None
-                 else split_threshold)
-    per_shard = (ex.PAGES_PER_SHARD if pages_per_shard is None
-                 else pages_per_shard)
     is_dir = isinstance(corpus_dir_or_ds, str)
-    if split_pages:
-        if is_dir:
-            # metadata-only read for the split decision: the payload
-            # column never enters the split stage or the doc_id shuffle
-            ds = ray.data.read_parquet(_input_shards(corpus_dir_or_ds),
-                                       columns=["doc_id", "n_pages"],
-                                       include_paths=True)
-        else:
-            ds = corpus_dir_or_ds
-        ds = ds.map_batches(
-            functools.partial(split_tasks, threshold=threshold,
-                              pages_per_shard=per_shard),
-            batch_format="pyarrow", batch_size=batch_size)
-        ds = ds.map_batches(ExtractShards, batch_format="pyarrow",
-                            batch_size=batch_size, concurrency=concurrency)
-        ds = ds.groupby("doc_id").map_groups(reassemble_groups,
-                                             batch_format="pyarrow")
-    else:
+    if not split_pages:
         ds = (ray.data.read_parquet(_input_shards(corpus_dir_or_ds))
               if is_dir else corpus_dir_or_ds)
-        ds = ds.map_batches(ExtractDocs, batch_format="pyarrow",
-                            batch_size=batch_size, concurrency=concurrency)
-    return ds
+        return ds.map_batches(ExtractDocs, batch_format="pyarrow",
+                              batch_size=batch_size, concurrency=concurrency)
+    if not is_dir:
+        raise ValueError("split_pages=True needs a corpus directory: "
+                         "page shards point into its parquet files")
+    # metadata-only read for the split decision: the payload column never
+    # enters the split stage or the doc_id shuffle
+    ds = ray.data.read_parquet(_input_shards(corpus_dir_or_ds),
+                               columns=["doc_id", "n_pages"],
+                               include_paths=True)
+    ds = _sharded(ds, threshold=split_threshold,
+                  pages_per_shard=pages_per_shard, batch_size=batch_size,
+                  concurrency=concurrency)
+    return ds.groupby("doc_id").map_groups(reassemble_groups,
+                                           batch_format="pyarrow")
 
 
-def extract_to_dir(corpus_dir: str, out_dir: str, *, concurrency=None,
+def extract_to_dir(corpus_dir: str, out_dir: str, *, concurrency=(1, 8),
                    batch_size: int = 8, split_pages: bool = False,
-                   split_threshold: int | None = None,
-                   pages_per_shard: int | None = None) -> dict:
+                   split_threshold: int = SPLIT_PAGE_THRESHOLD,
+                   pages_per_shard: int = PAGES_PER_SHARD) -> dict:
     """Resumable run: skip completed partitions, write parquet + lineage.
 
     Without the skew split, one actor task parses one pending input shard
     and writes it at once, so partitions complete one by one while the
-    run goes on.  ``split_pages=True`` routes pathological documents through the
-    page-level skew split while keeping per-partition resume: the
-    partition id (derived from the input file) rides along the shard rows
-    and the doc_id reassembly, so a killed run still skips finished
-    partitions."""
-    import functools
-
+    run goes on.  ``split_pages=True`` routes pathological documents
+    through the page-level skew split while keeping per-partition resume:
+    the partition id (derived from the input file) rides along the shard
+    rows, and one groupby(partition_id) both reassembles each partition's
+    documents and writes the partition, so a killed run still skips
+    finished partitions."""
     import ray.data
-    from ..stages import extract as ex
-    if concurrency is None:
-        concurrency = (1, 8)
 
     os.makedirs(out_dir, exist_ok=True)
     lineage.remove_stray_temps(out_dir)
@@ -129,29 +131,17 @@ def extract_to_dir(corpus_dir: str, out_dir: str, *, concurrency=None,
         return batch.append_column("partition_id",
                                    pa.array(pids, pa.string()))
 
-    threshold = (ex.SPLIT_PAGE_THRESHOLD if split_threshold is None
-                 else split_threshold)
-    per_shard = (ex.PAGES_PER_SHARD if pages_per_shard is None
-                 else pages_per_shard)
+    def write_group(group: pa.Table) -> pa.Table:
+        docs = reassemble_groups(group)
+        pid = docs.column("partition_id")[0].as_py()
+        return _write_partition(out_dir, pid,
+                                docs.drop_columns(["partition_id"]))
+
     ds = ray.data.read_parquet(pending, columns=["doc_id", "n_pages"],
                                include_paths=True)
-    ds = ds.map_batches(tag_partition, batch_format="pyarrow")
-    ds = ds.map_batches(
-        functools.partial(split_tasks, threshold=threshold,
-                          pages_per_shard=per_shard),
-        batch_format="pyarrow", batch_size=batch_size)
-    ds = ds.map_batches(ExtractShards, batch_format="pyarrow",
-                        batch_size=batch_size, concurrency=concurrency)
-    ds = ds.groupby("doc_id").map_groups(reassemble_groups,
-                                         batch_format="pyarrow")
-
-    def write_group(group: pa.Table) -> pa.Table:
-        pid = group.column("partition_id")[0].as_py()
-        return _write_partition(out_dir, pid,
-                                group.drop_columns(["partition_id"]))
-
-    # a document's shards meet only after the doc_id reassembly, so this
-    # path writes its partitions after that shuffle
+    ds = _sharded(ds.map_batches(tag_partition, batch_format="pyarrow"),
+                  threshold=split_threshold, pages_per_shard=pages_per_shard,
+                  batch_size=batch_size, concurrency=concurrency)
     manifest = (ds.groupby("partition_id")
                 .map_groups(write_group, batch_format="pyarrow")
                 .take_all())
@@ -216,10 +206,10 @@ def read_output(out_dir: str):
     return ray.data.read_parquet(files)
 
 
-def extract_pdf_dir_ranged(input_dir: str, *, concurrency=None,
+def extract_pdf_dir_ranged(input_dir: str, *, concurrency=(1, 8),
                            batch_size: int = 4,
                            split_threshold: int = 0,
-                           pages_per_shard: int | None = None):
+                           pages_per_shard: int = PAGES_PER_SHARD):
     """Raw ``*.pdf`` tree -> span table via range reads: the ChunkedStream
     analog (reference pdf.combined.js:4614 ChunkedStream / :49446
     NetworkPdfManager) lifted to the Ray pipeline.  Rows carry only
@@ -252,10 +242,10 @@ def extract_pdf_dir_ranged(input_dir: str, *, concurrency=None,
         pages_per_shard=pages_per_shard)
 
 
-def extract_pdf_manifest_ranged(manifest, *, concurrency=None,
+def extract_pdf_manifest_ranged(manifest, *, concurrency=(1, 8),
                                 batch_size: int = 4,
                                 split_threshold: int = 0,
-                                pages_per_shard: int | None = None):
+                                pages_per_shard: int = PAGES_PER_SHARD):
     """Manifest-driven ranged extraction: ``manifest`` is a
     ray.data.Dataset with (doc_id: string, path: string) rows — a
     parquet listing table at real scale, so file enumeration is
@@ -263,17 +253,8 @@ def extract_pdf_manifest_ranged(manifest, *, concurrency=None,
     glob anywhere in the hot path.  Page counting, skew splitting,
     range-read parsing and reassembly are the same stages as the
     directory variant."""
-    import functools
-
     from ..pdf.chunked_data import ChunkedData
     from ..pdf.extractor import count_pages
-    from ..stages import extract as ex
-
-    if concurrency is None:
-        concurrency = (1, 8)
-    per_shard = (ex.PAGES_PER_SHARD if pages_per_shard is None
-                 else pages_per_shard)
-    ds = manifest
 
     def add_pages(batch: pa.Table) -> pa.Table:
         # O(1) fetches per file: header + trailer + root /Count chunks
@@ -286,13 +267,10 @@ def extract_pdf_manifest_ranged(manifest, *, concurrency=None,
         return batch.append_column("n_pages",
                                    pa.array(pages, pa.int32()))
 
-    ds = ds.map_batches(add_pages, batch_format="pyarrow",
-                        batch_size=batch_size)
-    ds = ds.map_batches(
-        functools.partial(split_tasks, threshold=split_threshold,
-                          pages_per_shard=per_shard),
-        batch_format="pyarrow", batch_size=batch_size)
-    ds = ds.map_batches(ExtractShards, batch_format="pyarrow",
-                        batch_size=batch_size, concurrency=concurrency)
+    ds = manifest.map_batches(add_pages, batch_format="pyarrow",
+                              batch_size=batch_size)
+    ds = _sharded(ds, threshold=split_threshold,
+                  pages_per_shard=pages_per_shard, batch_size=batch_size,
+                  concurrency=concurrency)
     return ds.groupby("doc_id").map_groups(reassemble_groups,
                                            batch_format="pyarrow")

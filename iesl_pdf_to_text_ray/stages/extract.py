@@ -10,7 +10,8 @@ block (the reference has no equivalent; its CLI dies on the first bad file).
 Skew handling for pathological multi-hundred-page documents: ``split_tasks``
 fans a document out to page-range shards *before* the parse, and
 ``reassemble_groups`` restores reading order by rebasing each shard's local
-span offsets — the one shuffle in the pipeline, keyed by doc_id.
+span offsets — the one shuffle in the pipeline, keyed by doc_id (or, on the
+resumable run, by partition_id: one group then holds many documents).
 """
 
 from __future__ import annotations
@@ -20,26 +21,31 @@ import hashlib
 import pyarrow as pa
 
 from ..sources.corpus import XSPAN_STRUCT
-from ..pdf.extractor import count_pages, extract_spans
+from ..pdf.extractor import extract_spans
 
 SPLIT_PAGE_THRESHOLD = 64   # docs beyond this get page-level fan-out
 PAGES_PER_SHARD = 16
 
-_OUT_FIELDS = [
+OUT_SCHEMA = pa.schema([
     ("doc_id", pa.string()),
     ("spans", pa.list_(XSPAN_STRUCT)),
     ("n_spans", pa.int32()),
     ("n_text", pa.int32()),
     ("n_media", pa.int32()),
     ("error", pa.string()),
-]
-OUT_SCHEMA = pa.schema(_OUT_FIELDS)
+])
 
 
-def _span_rows(spans):
+def _extract_row(data, page_range=None) -> tuple[list[dict], str]:
+    """One document, or one page range of it, -> (span rows, error).  The
+    per-row quarantine: a parse failure yields no spans and the error."""
+    try:
+        spans = extract_spans(data, page_range)
+    except Exception as e:
+        return [], f"{type(e).__name__}: {e}"[:500]
     return [{"kind": k, "text": t, "media_ref": m, "offset": o,
              "x": xs, "y": y, "page": pg, "mat": mt}
-            for k, t, m, o, xs, y, pg, mt in spans]
+            for k, t, m, o, xs, y, pg, mt in spans], ""
 
 
 class ExtractDocs:
@@ -54,31 +60,17 @@ class ExtractDocs:
         fonts.metrics()
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        doc_ids = batch.column("doc_id").to_pylist()
-        payloads = batch.column("pdf_bytes").to_pylist()
-        out = {name: [] for name, _ in _OUT_FIELDS}
-        for doc_id, data in zip(doc_ids, payloads):
-            try:
-                spans = extract_spans(data)
-                err = ""
-            except Exception as e:  # per-row quarantine
-                spans = []
-                err = f"{type(e).__name__}: {e}"[:500]
+        out = {name: [] for name in OUT_SCHEMA.names}
+        for doc_id, data in zip(batch.column("doc_id").to_pylist(),
+                                batch.column("pdf_bytes").to_pylist()):
+            spans, err = _extract_row(data)
             out["doc_id"].append(doc_id)
-            out["spans"].append(_span_rows(spans))
+            out["spans"].append(spans)
             out["n_spans"].append(len(spans))
-            out["n_text"].append(sum(1 for s in spans if s[0] == "text"))
-            out["n_media"].append(sum(1 for s in spans if s[0] == "media"))
+            out["n_text"].append(sum(s["kind"] == "text" for s in spans))
+            out["n_media"].append(sum(s["kind"] == "media" for s in spans))
             out["error"].append(err)
-        cols = {"doc_id": pa.array(out["doc_id"], pa.string()),
-                "spans": pa.array(out["spans"], pa.list_(XSPAN_STRUCT)),
-                "n_spans": pa.array(out["n_spans"], pa.int32()),
-                "n_text": pa.array(out["n_text"], pa.int32()),
-                "n_media": pa.array(out["n_media"], pa.int32()),
-                "error": pa.array(out["error"], pa.string())}
-        if "partition_id" in batch.column_names:
-            cols["partition_id"] = batch.column("partition_id")
-        return pa.table(cols)
+        return pa.Table.from_pydict(out, schema=OUT_SCHEMA)
 
 
 # ---- page-level skew splitting ---------------------------------------------
@@ -86,73 +78,46 @@ class ExtractDocs:
 def split_tasks(batch: pa.Table, *,
                 threshold: int = SPLIT_PAGE_THRESHOLD,
                 pages_per_shard: int = PAGES_PER_SHARD) -> pa.Table:
-    """Doc row -> one or more (doc_id, shard, page range, payload pointer)
-    rows.  ``threshold`` is a parameter (bound via functools.partial, which
-    pickles by value — a module-global override on the driver would NOT
-    propagate to workers).
-
-    Payload handling: when the batch carries a ``path`` column (metadata
-    read with include_paths), shard rows carry only the pointer — the PDF
-    bytes never enter the split stage or the shuffle; ``ExtractShards``
-    re-reads them from storage with a doc_id filter.  The ``pdf_bytes``
-    fallback (in-memory Dataset input) copies the payload per shard and is
-    NOT the 100 TB path.
-    """
-    doc_ids = batch.column("doc_id").to_pylist()
-    by_pointer = "path" in batch.column_names
-    paths = (batch.column("path").to_pylist() if by_pointer
-             else [None] * len(doc_ids))
-    payloads = (batch.column("pdf_bytes").to_pylist()
-                if "pdf_bytes" in batch.column_names
-                else [None] * len(doc_ids))
-    n_pages_col = (batch.column("n_pages").to_pylist()
-                   if "n_pages" in batch.column_names
-                   else [None] * len(doc_ids))
-    pids = (batch.column("partition_id").to_pylist()
-            if "partition_id" in batch.column_names
-            else [None] * len(doc_ids))
-    out = {"doc_id": [], "shard": [], "page_start": [], "page_end": [],
-           "path": [], "pdf_bytes": [], "partition_id": []}
-    for doc_id, path, data, n_pages, pid in zip(doc_ids, paths, payloads,
-                                                n_pages_col, pids):
-        if n_pages is None:
-            try:
-                n_pages = count_pages(data)
-            except Exception:
-                n_pages = 1
+    """(doc_id, path, n_pages[, partition_id]) rows -> one row per
+    page-range shard: (doc_id, shard, page_start, page_end, path
+    [, partition_id]).  Shard rows carry only the storage pointer, so the
+    PDF bytes never enter the split stage or the shuffle; ``ExtractShards``
+    reads them from ``path``.  ``threshold`` is a parameter (bound via
+    functools.partial, which pickles by value — a module-global override
+    on the driver would NOT propagate to workers)."""
+    keep = ["doc_id", "path"] + [c for c in ("partition_id",)
+                                 if c in batch.column_names]
+    out = {c: [] for c in keep + ["shard", "page_start", "page_end"]}
+    for row in batch.select(keep + ["n_pages"]).to_pylist():
+        n_pages = row["n_pages"] or 1   # unknown or empty: one shard
         if n_pages <= threshold:
-            shards = [(0, max(n_pages, 1))]
+            shards = [(0, n_pages)]
         else:
             shards = [(s, min(s + pages_per_shard, n_pages))
                       for s in range(0, n_pages, pages_per_shard)]
         for i, (a, b) in enumerate(shards):
-            out["doc_id"].append(doc_id)
+            for c in keep:
+                out[c].append(row[c])
             out["shard"].append(i)
             out["page_start"].append(a)
             out["page_end"].append(b)
-            out["path"].append(path or "")
-            out["pdf_bytes"].append(None if by_pointer else data)
-            out["partition_id"].append(pid)
-    cols = {
+    return pa.table({
         "doc_id": pa.array(out["doc_id"], pa.string()),
         "shard": pa.array(out["shard"], pa.int32()),
         "page_start": pa.array(out["page_start"], pa.int32()),
         "page_end": pa.array(out["page_end"], pa.int32()),
-        "path": pa.array(out["path"], pa.string()),
-        "pdf_bytes": pa.array(out["pdf_bytes"], pa.binary())}
-    if "partition_id" in batch.column_names:
-        cols["partition_id"] = pa.array(out["partition_id"], pa.string())
-    return pa.table(cols)
+        **{c: pa.array(out[c], pa.string()) for c in keep[1:]}})
 
 
 class ExtractShards:
     """Extract page-range shards (post split_tasks).
 
-    Payload resolution: rows with a ``path`` pointer are resolved with one
+    Payload resolution: corpus-file pointers are resolved with one
     column-pruned, doc_id-filtered parquet read per (file, batch) — the
     late-materialization pattern that keeps payload bytes out of the
-    shuffle.  An in-actor LRU of the last file's requested docs avoids
-    re-reading when consecutive batches hit the same file.
+    shuffle; ``.pdf`` pointers are opened with range reads (``_open_pdf``).
+    The actor keeps only the payloads the current batch needs, so a
+    document whose shards span two consecutive batches is read once.
     """
 
     def __init__(self):
@@ -160,11 +125,10 @@ class ExtractShards:
         fonts.glyph_list()
         self._blob_cache: dict[tuple[str, str], bytes] = {}
 
-    def _resolve_payloads(self, rows: list[dict]) -> None:
+    def _resolve_payloads(self, rows: list[dict]) -> list:
         import pyarrow.parquet as pq
         wanted = {(r["path"], r["doc_id"]) for r in rows
-                  if r["pdf_bytes"] is None and r["path"]
-                  and not r["path"].endswith(".pdf")}
+                  if not r["path"].endswith(".pdf")}
         # bound actor memory: keep only entries this batch still needs
         self._blob_cache = {k: v for k, v in self._blob_cache.items()
                             if k in wanted}
@@ -178,91 +142,98 @@ class ExtractShards:
             for d, b in zip(t.column("doc_id").to_pylist(),
                             t.column("pdf_bytes").to_pylist()):
                 self._blob_cache[(path, d)] = b
-        for r in rows:
-            if r["pdf_bytes"] is None:
-                if r["path"].endswith(".pdf"):
-                    # raw-file pointer: a range-fetched lazy buffer (the
-                    # reference's ChunkedStream analog) — the shard never
-                    # holds the whole payload, only an LRU of chunks plus
-                    # the objects its page range touches
-                    from ..pdf.chunked_data import ChunkedData
-                    try:
-                        r["pdf_bytes"] = ChunkedData.from_file(r["path"])
-                    except OSError:
-                        r["pdf_bytes"] = b""
-                else:
-                    r["pdf_bytes"] = self._blob_cache.get(
-                        (r["path"], r["doc_id"]), b"")
+        return [_open_pdf(r["path"]) if r["path"].endswith(".pdf")
+                else self._blob_cache.get((r["path"], r["doc_id"]), b"")
+                for r in rows]
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         rows = batch.to_pylist()
-        self._resolve_payloads(rows)
-        out = {"doc_id": [], "shard": [], "spans": [], "error": [],
-               "partition_id": []}
-        for row in rows:
-            try:
-                spans = extract_spans(row["pdf_bytes"],
-                                      (row["page_start"], row["page_end"]))
-                err = ""
-            except Exception as e:
-                spans, err = [], f"{type(e).__name__}: {e}"[:500]
-            out["doc_id"].append(row["doc_id"])
-            out["shard"].append(row["shard"])
-            out["spans"].append(_span_rows(spans))
-            out["error"].append(err)
-            out["partition_id"].append(row.get("partition_id"))
-        cols = {
-            "doc_id": pa.array(out["doc_id"], pa.string()),
-            "shard": pa.array(out["shard"], pa.int32()),
-            "spans": pa.array(out["spans"], pa.list_(XSPAN_STRUCT)),
-            "error": pa.array(out["error"], pa.string())}
+        out = [_extract_row(data, (r["page_start"], r["page_end"]))
+               for r, data in zip(rows, self._resolve_payloads(rows))]
+        cols = {"doc_id": batch.column("doc_id"),
+                "shard": batch.column("shard"),
+                "spans": pa.array([s for s, _ in out],
+                                  pa.list_(XSPAN_STRUCT)),
+                "error": pa.array([e for _, e in out], pa.string())}
         if "partition_id" in batch.column_names:
-            cols["partition_id"] = pa.array(out["partition_id"],
-                                            pa.string())
+            cols["partition_id"] = batch.column("partition_id")
         return pa.table(cols)
 
 
-def reassemble_groups(group: pa.Table) -> pa.Table:
-    """groupby(doc_id).map_groups: order shards, rebase offsets, concat.
+def _open_pdf(path: str):
+    """A raw-file pointer as a range-fetched lazy buffer (the reference's
+    ChunkedStream analog): the shard never holds the whole payload, only
+    an LRU of chunks plus the objects its page range touches."""
+    from ..pdf.chunked_data import ChunkedData
+    try:
+        return ChunkedData.from_file(path)
+    except OSError:
+        return b""
 
-    Arrow-native: the shard sort, span concat (list flatten) and offset
-    rebase all run as C kernels — span structs never materialize as
-    Python dicts (they carry per-glyph x arrays, so the to_pylist round
-    trip was the hot cost at scale)."""
+
+def reassemble_groups(group: pa.Table) -> pa.Table:
+    """map_groups over shard rows of one or more documents -> one row per
+    doc_id (in doc_id order): shards in order, span lists concatenated,
+    offsets rebased to the document, shard errors joined.
+
+    Arrow-native: the sort, span concat (list flatten) and offset rebase
+    all run as C kernels — span structs never materialize as Python dicts
+    (they carry per-glyph x arrays, so the to_pylist round trip was the
+    hot cost at scale)."""
     import numpy as np
     import pyarrow.compute as pc
-    group = group.sort_by("shard")
+    group = group.sort_by([("doc_id", "ascending"), ("shard", "ascending")])
+    ids = group.column("doc_id").to_pylist()
+    # row bounds of each document's run of shards
+    bounds = [i for i in range(len(ids) + 1)
+              if i in (0, len(ids)) or ids[i] != ids[i - 1]]
+    first = bounds[:-1]
     spans_col = group.column("spans").combine_chunks()
-    flat = spans_col.flatten()   # shard order == document order
+    n_per_shard = pc.list_value_length(spans_col).to_numpy(
+        zero_copy_only=False)
+    # span bounds of each document
+    starts = np.concatenate([[0], np.cumsum(n_per_shard)])[bounds]
+    flat = spans_col.flatten()   # (doc_id, shard) order == reading order
     n = len(flat)
     kind = flat.field("kind")
-    new_struct = pa.StructArray.from_arrays(
+    offsets = np.arange(n) - np.repeat(starts[:-1], np.diff(starts))
+    spans = pa.StructArray.from_arrays(
         [kind, flat.field("text"), flat.field("media_ref"),
-         pa.array(np.arange(n, dtype=np.int32), pa.int32()),
+         pa.array(offsets, pa.int32()),
          flat.field("x"), flat.field("y"), flat.field("page"),
          flat.field("mat")],
         fields=list(XSPAN_STRUCT))
-    spans_list = pa.ListArray.from_arrays(
-        pa.array([0, n], pa.int32()), new_struct)
-    n_text = pc.sum(pc.equal(kind, "text")).as_py() or 0
-    n_media = pc.sum(pc.equal(kind, "media")).as_py() or 0
-    errors = [e for e in group.column("error").to_pylist() if e]
+
+    def per_doc(value: str):
+        # documents' count of spans of kind ``value``
+        hits = np.concatenate([[0], np.cumsum(
+            pc.equal(kind, value).to_numpy(zero_copy_only=False))])
+        return pa.array(np.diff(hits[starts]), pa.int32())
+
+    errors = group.column("error").to_pylist()
     cols = {
-        "doc_id": group.column("doc_id").slice(0, 1),
-        "spans": spans_list,
-        "n_spans": pa.array([n], pa.int32()),
-        "n_text": pa.array([int(n_text)], pa.int32()),
-        "n_media": pa.array([int(n_media)], pa.int32()),
-        "error": pa.array(["; ".join(errors)], pa.string())}
+        "doc_id": group.column("doc_id").take(first),
+        "spans": pa.ListArray.from_arrays(pa.array(starts, pa.int32()),
+                                          spans),
+        "n_spans": pa.array(np.diff(starts), pa.int32()),
+        "n_text": per_doc("text"),
+        "n_media": per_doc("media"),
+        "error": pa.array(["; ".join(e for e in errors[a:b] if e)
+                           for a, b in zip(bounds, bounds[1:])],
+                          pa.string())}
     if "partition_id" in group.column_names:
-        cols["partition_id"] = group.column("partition_id").slice(0, 1)
+        cols["partition_id"] = group.column("partition_id").take(first)
     return pa.table(cols)
 
 
-def spans_digest(spans: list[dict]) -> str:
+def spans_digest(spans) -> str:
+    """Order-sensitive digest of a span sequence (parity checks): every
+    field of every span, name and value, each length-prefixed, so two
+    different sequences never hash the same bytes."""
     h = hashlib.sha256()
     for s in spans:
-        h.update(s["kind"].encode())
-        h.update(s["text"].encode())
-        h.update(s["media_ref"].encode())
+        for name, value in s.items():
+            for part in (name.encode(), repr(value).encode()):
+                h.update(len(part).to_bytes(8, "little"))
+                h.update(part)
     return h.hexdigest()[:16]

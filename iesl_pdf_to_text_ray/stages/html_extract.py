@@ -11,8 +11,6 @@ batches because pages are KB-to-MB rows.
 
 from __future__ import annotations
 
-import hashlib
-
 import pyarrow as pa
 
 from ..functions.html_main import extract_main_spans
@@ -69,12 +67,3 @@ def extract_html_dataset(corpus_dir: str, concurrency=(1, 4),
     ds = ray.data.read_parquet(corpus_dir, columns=["doc_id", "html"])
     return ds.map_batches(ExtractHtmlDocs, batch_format="pyarrow",
                           batch_size=batch_size, concurrency=concurrency)
-
-
-def spans_digest(spans) -> str:
-    """Order-sensitive digest of a span sequence (parity checks)."""
-    h = hashlib.sha256()
-    for s in spans:
-        h.update(repr((s["kind"], s["text"], s["media_ref"],
-                       s["offset"])).encode())
-    return h.hexdigest()

@@ -86,3 +86,23 @@ def test_cli_ray_parquet_sink(tmp_path):
     row = t.to_pylist()[0]
     assert row["doc_id"] == "one" and row["error"] == ""
     assert sum(1 for s in row["spans"] if s["kind"] == "text") == N_TEXT
+
+
+def test_bench_counts_failed_queries(monkeypatch, capsys):
+    """A query that raised is named in bench.py's JSON line, left out of
+    its total, and makes the command exit 1."""
+    import ray
+
+    import bench
+    leg = {"n_docs": 1, "sec": 1.0, "docs_per_sec": 1.0}
+    monkeypatch.setattr(ray, "init", lambda **kw: None)
+    monkeypatch.setattr(ray, "shutdown", lambda: None)
+    monkeypatch.setattr(bench, "run_extract", lambda cpus, n_docs: leg)
+    monkeypatch.setattr(bench, "run_html_extract", lambda cpus, n_docs: leg)
+    monkeypatch.setattr(bench, "run_queries", lambda sf: {
+        "ok": 0.5, "broken": "error: boom"})
+    monkeypatch.setattr(sys, "argv", ["bench.py"])
+    assert bench.main() == 1
+    out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert out["failed_queries"] == ["broken"] and out["n_failed"] == 1
+    assert out["value"] == 2.5

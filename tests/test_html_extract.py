@@ -70,8 +70,9 @@ def test_malformed_html_no_crash():
 def test_ray_pipeline_surface(ray_session, tmp_path):
     """read_parquet -> ExtractHtmlDocs actor pool -> span rows with the
     input_hint schema; digests stable across runs."""
-    from iesl_pdf_to_text_ray.stages.html_extract import (
-        extract_html_dataset, spans_digest)
+    from iesl_pdf_to_text_ray.stages.extract import spans_digest
+    from iesl_pdf_to_text_ray.stages.html_extract import \
+        extract_html_dataset
     d = str(tmp_path / "web")
     synthesize_html_corpus(d, n_docs=12, n_shards=3)
     rows = extract_html_dataset(d).take_all()

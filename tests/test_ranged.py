@@ -127,18 +127,17 @@ def test_ranged_pipeline_e2e(ray_session, tmp_path):
     from iesl_pdf_to_text_ray.pipelines.extract_pipeline import (
         extract_dataset, extract_pdf_dir_ranged)
     from iesl_pdf_to_text_ray.sources.corpus import synthesize_pdf_corpus
-    from iesl_pdf_to_text_ray.stages.extract import spans_digest
 
     pdf_dir = tmp_path / "pdfs"
     _write_base_documents(pdf_dir)
-    ranged = {r["doc_id"]: spans_digest(r["spans"])
+    ranged = {r["doc_id"]: r["spans"]
               for r in extract_pdf_dir_ranged(
                   str(pdf_dir), pages_per_shard=3,
                   concurrency=(1, 2)).take_all()}
 
     corpus_dir = tmp_path / "corpus"
     synthesize_pdf_corpus(str(corpus_dir), n_docs=4, n_shards=1)
-    whole = {r["doc_id"].split("-", 2)[2]: spans_digest(r["spans"])
+    whole = {r["doc_id"].split("-", 2)[2]: r["spans"]
              for r in extract_dataset(str(corpus_dir),
                                       concurrency=(1, 2)).take_all()}
     assert set(ranged) == set(whole)
@@ -155,7 +154,6 @@ def test_ranged_manifest_pipeline(ray_session, tmp_path):
 
     from iesl_pdf_to_text_ray.pipelines.extract_pipeline import (
         extract_pdf_dir_ranged, extract_pdf_manifest_ranged)
-    from iesl_pdf_to_text_ray.stages.extract import spans_digest
 
     pdf_dir = tmp_path / "pdfs"
     names = _write_base_documents(pdf_dir, 2)
@@ -167,12 +165,12 @@ def test_ranged_manifest_pipeline(ray_session, tmp_path):
                           for n in names], pa.string())}),
         manifest_path)
 
-    via_manifest = {r["doc_id"]: spans_digest(r["spans"])
+    via_manifest = {r["doc_id"]: r["spans"]
                     for r in extract_pdf_manifest_ranged(
                         ray.data.read_parquet(str(manifest_path)),
                         pages_per_shard=3,
                         concurrency=(1, 2)).take_all()}
-    via_dir = {r["doc_id"]: spans_digest(r["spans"])
+    via_dir = {r["doc_id"]: r["spans"]
                for r in extract_pdf_dir_ranged(
                    str(pdf_dir), pages_per_shard=3,
                    concurrency=(1, 2)).take_all()}

@@ -109,11 +109,85 @@ def test_split_tasks_shards_by_pointer(corpus_dir):
         "path", __import__("pyarrow").array([f] * meta.num_rows))
     out = functools.partial(split_tasks, threshold=2, pages_per_shard=3)(meta)
     assert out.num_rows > meta.num_rows          # genuine multi-shard fan-out
-    assert out.column("pdf_bytes").null_count == out.num_rows
+    assert "pdf_bytes" not in out.column_names
     per_doc = {}
     for d in out.column("doc_id").to_pylist():
         per_doc[d] = per_doc.get(d, 0) + 1
     assert max(per_doc.values()) >= 2
+
+
+def _span(text, offset, kind="text"):
+    return {"kind": kind, "text": text, "media_ref": "", "offset": offset,
+            "x": [float(offset)], "y": 1.0, "page": 0,
+            "mat": [1.0, 0.0, 0.0, 1.0, 0.0, 0.0]}
+
+
+def test_reassemble_groups_many_documents():
+    """One group holding the shards of several documents (the resumable
+    split run groups by partition) gives one row per document, equal to
+    reassembling each document alone: shard order, offsets rebased to
+    the document, shard errors joined in shard order."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    from iesl_pdf_to_text_ray.sources.corpus import XSPAN_STRUCT
+    from iesl_pdf_to_text_ray.stages.extract import reassemble_groups
+    shards = [  # (doc_id, shard, spans, error), out of order
+        ("b", 1, [_span("b2", 0), _span("", 1, "media")], "PdfError: p5"),
+        ("a", 0, [_span("a0", 0)], ""),
+        ("c", 0, [], "PdfError: no catalog"),
+        ("b", 0, [_span("b0", 0), _span("b1", 1)], ""),
+        ("a", 1, [], ""),
+        ("b", 2, [_span("b4", 0)], "PdfError: p9"),
+        ("a", 2, [_span("a1", 0), _span("a2", 1)], ""),
+    ]
+    group = pa.table({
+        "doc_id": [d for d, *_ in shards],
+        "shard": pa.array([s for _, s, *_ in shards], pa.int32()),
+        "spans": pa.array([sp for *_, sp, _ in shards],
+                          pa.list_(XSPAN_STRUCT)),
+        "error": [e for *_, e in shards],
+        "partition_id": ["part-00000"] * len(shards)})
+    got = reassemble_groups(group).to_pylist()
+    alone = [reassemble_groups(
+        group.filter(pc.equal(group.column("doc_id"), d))).to_pylist()[0]
+        for d in ("a", "b", "c")]
+    assert got == alone
+    a, b, c = got
+    assert [s["text"] for s in b["spans"]] == ["b0", "b1", "b2", "", "b4"]
+    assert [s["offset"] for s in b["spans"]] == list(range(5))
+    assert [s["x"] for s in b["spans"]] == [[0.0], [1.0], [0.0], [1.0], [0.0]]
+    assert (b["n_spans"], b["n_text"], b["n_media"]) == (5, 4, 1)
+    assert b["error"] == "PdfError: p5; PdfError: p9"
+    assert [s["offset"] for s in a["spans"]] == [0, 1, 2]
+    assert (a["n_spans"], a["error"]) == (3, "")
+    assert (c["spans"], c["n_spans"], c["error"]) == (
+        [], 0, "PdfError: no catalog")
+    assert {r["partition_id"] for r in got} == {"part-00000"}
+
+
+def test_split_pages_needs_corpus_dir(ray_session):
+    """Page shards point into corpus files, so an in-memory Dataset
+    cannot take the split path."""
+    import ray.data
+    ds = ray.data.from_items([{"doc_id": "a", "pdf_bytes": b"",
+                               "n_pages": 1}])
+    with pytest.raises(ValueError):
+        extract_dataset(ds, split_pages=True)
+
+
+def test_spans_digest_covers_every_field():
+    """Every span field enters the digest, length-prefixed: neither a
+    concatenation of fields nor a moved pen position collides."""
+    from iesl_pdf_to_text_ray.stages.extract import spans_digest
+    base = [_span("a", 0), _span("b", 1)]
+    assert spans_digest(base) == spans_digest([dict(s) for s in base])
+    assert spans_digest(base) != spans_digest([_span("atextb", 0)])
+    for field, value in (("kind", "media"), ("media_ref", "img-0"),
+                         ("offset", 5), ("x", [9.0]), ("y", 2.0),
+                         ("page", 3), ("mat", [2.0] * 6)):
+        moved = [dict(base[0], **{field: value}), base[1]]
+        assert spans_digest(moved) != spans_digest(base), field
 
 
 def test_resume_skips_completed_partitions(ray_session, corpus_dir, tmp_path):
