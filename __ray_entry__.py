@@ -1040,9 +1040,16 @@ def oracle_sql() -> dict[str, str]:
                          generate_series(1, len(t) - 2),
                          i -> t[i] || ' ' || t[i+1] || ' ' || t[i+2])) AS s
               FROM toks),
+            -- only pairs sharing a shingle can reach Jaccard >= 0.4, so
+            -- the self-join runs on the shingle, not on every pair
+            g AS (SELECT doc_id, unnest(s) AS g FROM sh),
+            cand AS (
+              SELECT DISTINCT a.doc_id AS doc_a, b.doc_id AS doc_b
+              FROM g a JOIN g b ON a.g = b.g AND a.doc_id < b.doc_id),
             pairs AS (
-              SELECT a.doc_id AS doc_a, b.doc_id AS doc_b
-              FROM sh a JOIN sh b ON a.doc_id < b.doc_id
+              SELECT c.doc_a, c.doc_b
+              FROM cand c JOIN sh a ON a.doc_id = c.doc_a
+                          JOIN sh b ON b.doc_id = c.doc_b
               WHERE len(list_intersect(a.s, b.s))::DOUBLE
                     / (len(a.s) + len(b.s)
                        - len(list_intersect(a.s, b.s)))::DOUBLE >= 0.4),

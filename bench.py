@@ -80,14 +80,14 @@ def run_extract(num_cpus: int, n_docs: int) -> dict:
 
 def run_html_extract(num_cpus: int, n_docs: int) -> dict:
     """Throughput of the north-rule HTML main-content leg: synthetic web
-    corpus -> actor-pool boilerplate strip -> interleaved spans."""
+    corpus -> boilerplate strip as Ray tasks -> interleaved spans."""
     from iesl_pdf_to_text_ray.sources.html_corpus import cached_html_corpus
     from iesl_pdf_to_text_ray.stages.html_extract import \
         extract_html_dataset
     d = cached_html_corpus("/tmp/graft_bench_corpus", n_docs=n_docs,
                            n_shards=max(8, n_docs // 64))
     conc = (max(1, num_cpus - 2), num_cpus)
-    # warm the actor pool topology, then measure
+    # warm the session's workers, then measure
     extract_html_dataset(d, concurrency=conc, batch_size=16).count()
     t0 = time.time()
     n = extract_html_dataset(d, concurrency=conc, batch_size=16).count()

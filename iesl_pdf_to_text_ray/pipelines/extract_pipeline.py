@@ -27,9 +27,10 @@ import os
 
 import pyarrow as pa
 
-from ..stages.extract import (PAGES_PER_SHARD, SPLIT_PAGE_THRESHOLD,
-                              ExtractDocs, ExtractShards, reassemble_groups,
-                              spans_digest, split_tasks)
+from ..stages.extract import (OUT_SCHEMA, PAGES_PER_SHARD,
+                              SPLIT_PAGE_THRESHOLD, ExtractDocs,
+                              ExtractShards, reassemble_groups, spans_digest,
+                              split_tasks)
 from ..state import lineage
 
 
@@ -98,6 +99,7 @@ def extract_to_dir(corpus_dir: str, out_dir: str, *, concurrency=(1, 8),
     rows, and one groupby(partition_id) both reassembles each partition's
     documents and writes the partition, so a killed run still skips
     finished partitions."""
+    import pyarrow.parquet as pq
     import ray.data
 
     os.makedirs(out_dir, exist_ok=True)
@@ -137,14 +139,23 @@ def extract_to_dir(corpus_dir: str, out_dir: str, *, concurrency=(1, 8),
         return _write_partition(out_dir, pid,
                                 docs.drop_columns(["partition_id"]))
 
-    ds = ray.data.read_parquet(pending, columns=["doc_id", "n_pages"],
-                               include_paths=True)
-    ds = _sharded(ds.map_batches(tag_partition, batch_format="pyarrow"),
-                  threshold=split_threshold, pages_per_shard=pages_per_shard,
-                  batch_size=batch_size, concurrency=concurrency)
-    manifest = (ds.groupby("partition_id")
-                .map_groups(write_group, batch_format="pyarrow")
-                .take_all())
+    # a shard with no rows forms no group: it completes here, as an empty
+    # partition, as on the whole-document path
+    empty = [f for f in pending if pq.read_metadata(f).num_rows == 0]
+    manifest = [_write_partition(out_dir, lineage.partition_id_for(f),
+                                 OUT_SCHEMA.empty_table()).to_pylist()[0]
+                for f in empty]
+    pending = [f for f in pending if f not in empty]
+    if pending:
+        ds = ray.data.read_parquet(pending, columns=["doc_id", "n_pages"],
+                                   include_paths=True)
+        ds = _sharded(ds.map_batches(tag_partition, batch_format="pyarrow"),
+                      threshold=split_threshold,
+                      pages_per_shard=pages_per_shard,
+                      batch_size=batch_size, concurrency=concurrency)
+        manifest += (ds.groupby("partition_id")
+                     .map_groups(write_group, batch_format="pyarrow")
+                     .take_all())
     return _add_manifest(stats, manifest)
 
 

@@ -1,10 +1,14 @@
 """HTML main-content extraction (north-rule "HTML boilerplate strip"
 leg): exact recovery of planted main content, boilerplate exclusion,
-media interleaving, malformed-input quarantine, and the Ray actor-pool
+media interleaving, malformed-input quarantine, and the Ray task-pool
 pipeline surface."""
 
 from __future__ import annotations
 
+import gc
+import time
+
+import pyarrow as pa
 import pyarrow.parquet as pq
 
 from iesl_pdf_to_text_ray.functions.html_main import extract_main_spans
@@ -68,7 +72,7 @@ def test_malformed_html_no_crash():
 
 
 def test_ray_pipeline_surface(ray_session, tmp_path):
-    """read_parquet -> ExtractHtmlDocs actor pool -> span rows with the
+    """read_parquet -> ExtractHtmlDocs Ray tasks -> span rows with the
     input_hint schema; digests stable across runs."""
     from iesl_pdf_to_text_ray.stages.extract import spans_digest
     from iesl_pdf_to_text_ray.stages.html_extract import \
@@ -87,3 +91,62 @@ def test_ray_pipeline_surface(ray_session, tmp_path):
         assert got == want
         assert r["n_media"] == 1
         assert spans_digest(got) == spans_digest(want)
+
+
+def test_tasks_release_cpus(ray_session, tmp_path):
+    """The stage runs as Ray tasks: once a pass is consumed, every CPU of
+    the session is free again within 2 s, with no garbage collection,
+    while the caller still holds the Dataset.  (A consumed Dataset keeps
+    an actor pool, and its CPUs, until cyclic GC frees it.)"""
+    from iesl_pdf_to_text_ray.stages.html_extract import \
+        extract_html_dataset
+    ray = ray_session
+    d = str(tmp_path / "web")
+    synthesize_html_corpus(d, n_docs=64, n_shards=4)
+    total = ray.cluster_resources()["CPU"]
+
+    def free_cpus_after(limit_s: float) -> float:
+        t0 = time.monotonic()
+        while (ray.available_resources().get("CPU", 0) < total
+               and time.monotonic() - t0 < limit_s):
+            time.sleep(0.02)
+        return ray.available_resources().get("CPU", 0)
+
+    # start from a free session: earlier tests' pools may still be held
+    gc.collect()
+    free_cpus_after(20)
+    free = []
+    gc.disable()    # the release must not wait for a collection
+    try:
+        for _ in range(3):
+            ds = extract_html_dataset(d, concurrency=(1, 3))
+            assert len(ds.take_all()) == 64
+            free.append(free_cpus_after(2))
+    finally:
+        gc.enable()
+    assert free == [total] * 3
+
+
+def test_row_error_quarantined(monkeypatch):
+    """One document whose extraction raises gets empty spans and a
+    "<ExcType>: msg" error; the other rows and the schema are unchanged."""
+    from iesl_pdf_to_text_ray.stages import html_extract
+
+    def flaky(html):
+        if "of article 3." in html:
+            raise ValueError("bad page")
+        return extract_main_spans(html)
+
+    monkeypatch.setattr(html_extract, "extract_main_spans", flaky)
+    ids = [2, 3, 4]
+    out = html_extract.ExtractHtmlDocs()(pa.table({
+        "doc_id": [f"web-{i}" for i in ids],
+        "html": [render_doc(i) for i in ids]}))
+    assert out.schema == html_extract.HTML_OUT_SCHEMA
+    rows = out.to_pylist()
+    assert rows[1]["spans"] == [] and rows[1]["n_spans"] == 0
+    assert rows[1]["error"] == "ValueError: bad page"
+    for i, r in zip(ids, rows):
+        if i != 3:
+            assert r["error"] == "" and r["spans"] == expected_spans(i)
+            assert r["n_spans"] == len(r["spans"])

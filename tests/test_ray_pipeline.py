@@ -323,6 +323,29 @@ def test_resume_with_page_split(ray_session, corpus_dir, tmp_path):
     assert stats2["partitions_run"] == 0
 
 
+def test_resume_page_split_empty_shard(ray_session, tmp_path):
+    """An input shard with no rows completes on the page-split path too:
+    it is written as an empty partition with its lineage record, so the
+    next run reads nothing again."""
+    import pyarrow.parquet as pq
+
+    from iesl_pdf_to_text_ray.sources.corpus import CORPUS_SCHEMA
+    corpus = _one_file_corpus(tmp_path / "corpus", {
+        f"doc-{i}": doc.pdf_bytes for i, doc in enumerate(base_documents())})
+    pq.write_table(CORPUS_SCHEMA.empty_table(),
+                   os.path.join(corpus, "part-00001.parquet"))
+    out_dir = str(tmp_path / "out")
+    kw = dict(concurrency=2, batch_size=4, split_pages=True,
+              split_threshold=2, pages_per_shard=3)
+    stats = extract_to_dir(corpus, out_dir, **kw)
+    assert stats["partitions_run"] == 2 and stats["n_docs"] == 4
+    assert lineage.completed_partitions(out_dir) == {"part-00000",
+                                                     "part-00001"}
+    assert pq.read_table(lineage.data_path(out_dir, "part-00001")
+                         ).num_rows == 0
+    assert extract_to_dir(corpus, out_dir, **kw)["partitions_run"] == 0
+
+
 def test_truncation_fuzz_never_kills_block(ray_session, tmp_path):
     """Deterministic truncation fuzz: PDFs cut at arbitrary offsets (and
     byte-corrupted) must flow through the pipeline as quarantined or

@@ -1,6 +1,11 @@
 """Mimic the driver's correctness check: run each queries() entry at a
 given sf and compare against oracle_sql() via DuckDB (row count + schema +
-order-insensitive value hash)."""
+order-insensitive value hash).  Each line gives the query's seconds and,
+where there is an oracle, the oracle's own DuckDB seconds, so a slow
+oracle shows up beside a slow query.
+
+    python tools/check_oracles.py SF_DIR [QUERY ...]
+"""
 
 from __future__ import annotations
 
@@ -74,25 +79,28 @@ def main(sf_dir: str, only=None):
         if name not in oracles:
             print(f"ok   {name}: rows={len(mine)} (rows-only) {dt:.1f}s")
             continue
+        t0 = time.time()
         gold = canon(con.execute(oracles[name]).fetchdf())
+        secs = f"{dt:.1f}s oracle {time.time() - t0:.1f}s"
         if list(mine.columns) != list(gold.columns):
             print(f"FAIL {name}: columns {list(mine.columns)} vs "
-                  f"{list(gold.columns)}")
+                  f"{list(gold.columns)} {secs}")
             failures += 1
             continue
         if len(mine) != len(gold):
-            print(f"FAIL {name}: rows {len(mine)} vs {len(gold)}")
+            print(f"FAIL {name}: rows {len(mine)} vs {len(gold)} {secs}")
             failures += 1
             continue
         eq = mine.equals(gold)
         if not eq:
             diff = (mine != gold) & ~(mine.isna() & gold.isna())
             bad = diff.any(axis=1)
-            print(f"FAIL {name}: value mismatch in {int(bad.sum())} rows")
+            print(f"FAIL {name}: value mismatch in {int(bad.sum())} rows "
+                  f"{secs}")
             print(pd.concat([mine[bad].head(3), gold[bad].head(3)]))
             failures += 1
         else:
-            print(f"ok   {name}: rows={len(mine)} MATCH {dt:.1f}s")
+            print(f"ok   {name}: rows={len(mine)} MATCH {secs}")
     ray.shutdown()
     return failures
 
