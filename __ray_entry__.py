@@ -548,6 +548,53 @@ def queries() -> dict[str, Callable[[str], Any]]:
     }
 
 
+# Near-duplicate document pairs over distinct word 3-shingles (Jaccard
+# >= 0.4), shared by the near-dup oracles.  Candidate pairs come from a
+# self-join on the unnested shingle: a pair that shares no shingle has
+# Jaccard 0, and two empty shingle sets give 0/0 = NULL, which fails the
+# test too, so the result equals the all-pairs join's while its cost
+# follows shared shingles, not the square of the corpus.  Ends with
+# ``pairs(doc_a, doc_b, jaccard)``.
+_NEARDUP_PAIRS_SQL = """
+            toks AS (
+              SELECT doc_id,
+                     regexp_extract_all(text, '[^ \\t\\n\\r\\f\\v]+') AS t
+              FROM documents),
+            sh AS (
+              SELECT doc_id,
+                     list_distinct(list_transform(
+                         generate_series(1, len(t) - 2),
+                         i -> t[i] || ' ' || t[i+1] || ' ' || t[i+2])) AS s
+              FROM toks),
+            g AS (SELECT doc_id, unnest(s) AS g FROM sh),
+            cand AS (
+              SELECT DISTINCT a.doc_id AS doc_a, b.doc_id AS doc_b
+              FROM g a JOIN g b ON a.g = b.g AND a.doc_id < b.doc_id),
+            jac AS (
+              SELECT c.doc_a, c.doc_b,
+                     len(list_intersect(a.s, b.s))::DOUBLE
+                     / (len(a.s) + len(b.s)
+                        - len(list_intersect(a.s, b.s)))::DOUBLE AS jaccard
+              FROM cand c JOIN sh a ON a.doc_id = c.doc_a
+                          JOIN sh b ON b.doc_id = c.doc_b),
+            pairs AS (SELECT * FROM jac WHERE jaccard >= 0.4)"""
+
+# ``pairs`` closed into connected components: ``lab(doc_id, component)``,
+# the component being the smallest doc_id a document reaches; a document
+# in no pair labels itself.  Needs ``WITH RECURSIVE``.
+_NEARDUP_LABELS_SQL = _NEARDUP_PAIRS_SQL + """,
+            sym AS (SELECT doc_a AS u, doc_b AS v FROM pairs
+                    UNION ALL
+                    SELECT doc_b, doc_a FROM pairs),
+            reach(node, comp) AS (
+              SELECT doc_id, doc_id FROM documents
+              UNION
+              SELECT s.u, r.comp FROM reach r JOIN sym s ON s.v = r.node),
+            lab AS (
+              SELECT node AS doc_id, min(comp) AS component
+              FROM reach GROUP BY node)"""
+
+
 # Queries intentionally absent from oracle_sql(), with why SQL cannot
 # express them (the driver records a rows-only check for these):
 #   extract_corpus / extract_corpus_split / extract_corpus_chunked /
@@ -667,24 +714,8 @@ def oracle_sql() -> dict[str, str]:
         "doc_fingerprints": """
             SELECT doc_id, md5(text) AS fp FROM documents
         """,
-        "dedup_ngram_jaccard": """
-            WITH toks AS (
-              SELECT doc_id, regexp_extract_all(text, '[^ \\t\\n\\r\\f\\v]+') AS t
-              FROM documents),
-            sh AS (
-              SELECT doc_id,
-                     list_distinct(list_transform(
-                         generate_series(1, len(t) - 2),
-                         i -> t[i] || ' ' || t[i+1] || ' ' || t[i+2])) AS s
-              FROM toks),
-            pairs AS (
-              SELECT a.doc_id AS doc_a, b.doc_id AS doc_b,
-                     len(list_intersect(a.s, b.s))::DOUBLE AS inter,
-                     (len(a.s) + len(b.s)
-                      - len(list_intersect(a.s, b.s)))::DOUBLE AS un
-              FROM sh a JOIN sh b ON a.doc_id < b.doc_id)
-            SELECT doc_a, doc_b, round(inter / un, 6) AS jaccard
-            FROM pairs WHERE inter / un >= 0.4
+        "dedup_ngram_jaccard": "WITH" + _NEARDUP_PAIRS_SQL + """
+            SELECT doc_a, doc_b, round(jaccard, 6) AS jaccard FROM pairs
         """,
         "dedup_simhash": """
             WITH toks AS (
@@ -1030,38 +1061,8 @@ def oracle_sql() -> dict[str, str]:
                   % 10000
                   < CAST(least(10000, ceil(10000.0 * 50 / cnt.n)) AS UBIGINT)
         """,
-        "neardup_components": """
-            WITH RECURSIVE toks AS (
-              SELECT doc_id, regexp_extract_all(text, '[^ \\t\\n\\r\\f\\v]+') AS t
-              FROM documents),
-            sh AS (
-              SELECT doc_id,
-                     list_distinct(list_transform(
-                         generate_series(1, len(t) - 2),
-                         i -> t[i] || ' ' || t[i+1] || ' ' || t[i+2])) AS s
-              FROM toks),
-            -- only pairs sharing a shingle can reach Jaccard >= 0.4, so
-            -- the self-join runs on the shingle, not on every pair
-            g AS (SELECT doc_id, unnest(s) AS g FROM sh),
-            cand AS (
-              SELECT DISTINCT a.doc_id AS doc_a, b.doc_id AS doc_b
-              FROM g a JOIN g b ON a.g = b.g AND a.doc_id < b.doc_id),
-            pairs AS (
-              SELECT c.doc_a, c.doc_b
-              FROM cand c JOIN sh a ON a.doc_id = c.doc_a
-                          JOIN sh b ON b.doc_id = c.doc_b
-              WHERE len(list_intersect(a.s, b.s))::DOUBLE
-                    / (len(a.s) + len(b.s)
-                       - len(list_intersect(a.s, b.s)))::DOUBLE >= 0.4),
-            sym AS (SELECT doc_a AS u, doc_b AS v FROM pairs
-                    UNION ALL
-                    SELECT doc_b, doc_a FROM pairs),
-            reach(node, comp) AS (
-              SELECT doc_id, doc_id FROM documents
-              UNION
-              SELECT s.u, r.comp FROM reach r JOIN sym s ON s.v = r.node)
-            SELECT node AS doc_id, min(comp) AS component
-            FROM reach GROUP BY node
+        "neardup_components": "WITH RECURSIVE" + _NEARDUP_LABELS_SQL + """
+            SELECT doc_id, component FROM lab
         """,
         "orders_top_per_priority": """
             SELECT o_orderpriority, o_orderkey, o_totalprice FROM (
@@ -1276,29 +1277,13 @@ def oracle_sql() -> dict[str, str]:
             FROM embeddings, generate_series(1, 64) t(i)
             GROUP BY 1, 2
         """,
-        "neardup_degree": """
-            WITH toks AS (
-              SELECT doc_id, regexp_extract_all(text, '[^ \\t\\n\\r\\f\\v]+') AS t
-              FROM documents),
-            sh AS (
-              SELECT doc_id,
-                     list_distinct(list_transform(
-                         generate_series(1, len(t) - 2),
-                         i -> t[i] || ' ' || t[i+1] || ' ' || t[i+2])) AS s
-              FROM toks),
-            pairs AS (
-              SELECT a.doc_id AS doc_a, b.doc_id AS doc_b,
-                     len(list_intersect(a.s, b.s))::DOUBLE AS inter,
-                     (len(a.s) + len(b.s)
-                      - len(list_intersect(a.s, b.s)))::DOUBLE AS un
-              FROM sh a JOIN sh b ON a.doc_id < b.doc_id),
-            qual AS (
-              SELECT doc_a, doc_b, round(inter / un, 6) AS jaccard
-              FROM pairs WHERE inter / un >= 0.4),
+        "neardup_degree": "WITH" + _NEARDUP_PAIRS_SQL + """,
             sides AS (
-              SELECT doc_a AS doc_id, jaccard FROM qual
+              SELECT doc_a AS doc_id, round(jaccard, 6) AS jaccard
+              FROM pairs
               UNION ALL
-              SELECT doc_b AS doc_id, jaccard FROM qual)
+              SELECT doc_b AS doc_id, round(jaccard, 6) AS jaccard
+              FROM pairs)
             SELECT doc_id, count(*)::BIGINT AS degree,
                    max(jaccard) AS max_jaccard
             FROM sides GROUP BY doc_id
@@ -1786,35 +1771,10 @@ def oracle_sql() -> dict[str, str]:
             SELECT lang, term, cnt::BIGINT AS cnt, score_micro
             FROM ranked WHERE rn <= 10
         """,
-        "fuzzy_dedup_curation": """
-            -- near-dup components (the neardup_components CTE) reduced
-            -- to one keep-best row per cluster
-            WITH RECURSIVE toks AS (
-              SELECT doc_id,
-                     regexp_extract_all(text, '[^ \\t\\n\\r\\f\\v]+') AS t
-              FROM documents),
-            sh AS (
-              SELECT doc_id,
-                     list_distinct(list_transform(
-                         generate_series(1, len(t) - 2),
-                         i -> t[i] || ' ' || t[i+1] || ' ' || t[i+2])) AS s
-              FROM toks),
-            pairs AS (
-              SELECT a.doc_id AS doc_a, b.doc_id AS doc_b
-              FROM sh a JOIN sh b ON a.doc_id < b.doc_id
-              WHERE len(list_intersect(a.s, b.s))::DOUBLE
-                    / (len(a.s) + len(b.s)
-                       - len(list_intersect(a.s, b.s)))::DOUBLE >= 0.4),
-            sym AS (SELECT doc_a AS u, doc_b AS v FROM pairs
-                    UNION ALL
-                    SELECT doc_b, doc_a FROM pairs),
-            reach(node, comp) AS (
-              SELECT doc_id, doc_id FROM documents
-              UNION
-              SELECT s.u, r.comp FROM reach r JOIN sym s ON s.v = r.node),
-            lab AS (
-              SELECT node AS doc_id, min(comp) AS component
-              FROM reach GROUP BY node),
+        "fuzzy_dedup_curation": (
+            # near-dup components reduced to one keep-best row per
+            # cluster
+            "WITH RECURSIVE" + _NEARDUP_LABELS_SQL + """,
             m AS (
               SELECT lab.component, d.doc_id, d.n_chars,
                      row_number() OVER (PARTITION BY lab.component
@@ -1831,7 +1791,7 @@ def oracle_sql() -> dict[str, str]:
                    max_chars::BIGINT AS max_chars,
                    total_chars::BIGINT AS total_chars
             FROM m WHERE rn = 1
-        """,
+        """),
         "bigram_lm_score": """
             -- add-one smoothed bigram LM trained on the corpus; per-
             -- bigram nll pinned to an integer via libm ln (see
@@ -1973,42 +1933,16 @@ def oracle_sql() -> dict[str, str]:
             WHERE ('0x' || substr(md5(d.doc_id::VARCHAR), 1, 8))::UBIGINT
                   % 1000000 < share_ppm
         """,
-        "leakage_safe_split": """
-            -- near-dup components (the neardup_components CTE), then a
-            -- 90/10 md5-bucket split on the COMPONENT id so whole
-            -- clusters land on one side
-            WITH RECURSIVE toks AS (
-              SELECT doc_id,
-                     regexp_extract_all(text, '[^ \\t\\n\\r\\f\\v]+') AS t
-              FROM documents),
-            sh AS (
-              SELECT doc_id,
-                     list_distinct(list_transform(
-                         generate_series(1, len(t) - 2),
-                         i -> t[i] || ' ' || t[i+1] || ' ' || t[i+2])) AS s
-              FROM toks),
-            pairs AS (
-              SELECT a.doc_id AS doc_a, b.doc_id AS doc_b
-              FROM sh a JOIN sh b ON a.doc_id < b.doc_id
-              WHERE len(list_intersect(a.s, b.s))::DOUBLE
-                    / (len(a.s) + len(b.s)
-                       - len(list_intersect(a.s, b.s)))::DOUBLE >= 0.4),
-            sym AS (SELECT doc_a AS u, doc_b AS v FROM pairs
-                    UNION ALL
-                    SELECT doc_b, doc_a FROM pairs),
-            reach(node, comp) AS (
-              SELECT doc_id, doc_id FROM documents
-              UNION
-              SELECT s.u, r.comp FROM reach r JOIN sym s ON s.v = r.node),
-            lab AS (
-              SELECT node AS doc_id, min(comp) AS component
-              FROM reach GROUP BY node)
+        "leakage_safe_split": (
+            # near-dup components, then a 90/10 md5-bucket split on the
+            # COMPONENT id so whole clusters land on one side
+            "WITH RECURSIVE" + _NEARDUP_LABELS_SQL + """
             SELECT doc_id, component,
                    CASE WHEN ('0x' || substr(md5(component::VARCHAR),
                                              1, 8))::UBIGINT % 100 < 90
                         THEN 'train' ELSE 'val' END AS split
             FROM lab
-        """,
+        """),
         "quality_gate": """
             -- integer alpha density, per-lang quantile_disc(0.5) gate
             WITH s AS (
@@ -2024,35 +1958,10 @@ def oracle_sql() -> dict[str, str]:
             FROM s JOIN thr USING (lang)
             WHERE s.alpha_ppm >= thr.thr
         """,
-        "incremental_dedup": """
-            -- near-dup components (the neardup_components CTE); every
-            -- 10th doc is the 'new shard', the rest are the index
-            WITH RECURSIVE toks AS (
-              SELECT doc_id,
-                     regexp_extract_all(text, '[^ \\t\\n\\r\\f\\v]+') AS t
-              FROM documents),
-            sh AS (
-              SELECT doc_id,
-                     list_distinct(list_transform(
-                         generate_series(1, len(t) - 2),
-                         i -> t[i] || ' ' || t[i+1] || ' ' || t[i+2])) AS s
-              FROM toks),
-            pairs AS (
-              SELECT a.doc_id AS doc_a, b.doc_id AS doc_b
-              FROM sh a JOIN sh b ON a.doc_id < b.doc_id
-              WHERE len(list_intersect(a.s, b.s))::DOUBLE
-                    / (len(a.s) + len(b.s)
-                       - len(list_intersect(a.s, b.s)))::DOUBLE >= 0.4),
-            sym AS (SELECT doc_a AS u, doc_b AS v FROM pairs
-                    UNION ALL
-                    SELECT doc_b, doc_a FROM pairs),
-            reach(node, comp) AS (
-              SELECT doc_id, doc_id FROM documents
-              UNION
-              SELECT s.u, r.comp FROM reach r JOIN sym s ON s.v = r.node),
-            lab AS (
-              SELECT node AS doc_id, min(comp) AS component
-              FROM reach GROUP BY node),
+        "incremental_dedup": (
+            # near-dup components; every 10th doc is the 'new shard',
+            # the rest are the index
+            "WITH RECURSIVE" + _NEARDUP_LABELS_SQL + """,
             m AS (
               SELECT doc_id, component, doc_id % 10 = 0 AS is_new
               FROM lab),
@@ -2069,5 +1978,5 @@ def oracle_sql() -> dict[str, str]:
                         WHEN rn = 1 THEN 'kept'
                         ELSE 'dup_in_shard' END AS status
             FROM n LEFT JOIN has_idx h USING (component)
-        """,
+        """),
     }

@@ -22,8 +22,8 @@ import pyarrow as pa
 from ..functions import ann as annf
 from ..functions import dedup as dd
 from ..functions import textops as tx
-from .joins import (Lookup, _pd_table, asof_join, broadcast_lookup,
-                    dataset_lookup, hash_join)
+from .joins import (Lookup, _part_of, _pd_table, asof_join,
+                    broadcast_lookup, dataset_lookup, hash_join)
 
 
 def _clean_schema(path: str, columns=None) -> pa.Schema:
@@ -108,21 +108,33 @@ def _global_topk(ds, keys: list, ascending: list, k: int,
                                          batch_size=None)
 
 
+def _rounded(ds, **digits):
+    """``ds`` with each named float column rounded in place to its
+    number of decimal digits (``pc.round``: half to even)."""
+    import pyarrow.compute as pc
+
+    def round_cols(batch: pa.Table) -> pa.Table:
+        for name, nd in digits.items():
+            batch = batch.set_column(batch.schema.get_field_index(name),
+                                     name, pc.round(batch.column(name), nd))
+        return batch
+    return ds.map_batches(round_cols, batch_format="pyarrow")
+
+
 def _partitioned_agg(ds, key_col: str, group_fn, n_parts: int = 32):
-    """Exact high-cardinality aggregation via coarse hash partitions:
-    append an int32 partition from a stable hash of ``key_col``, shuffle
-    by the 32-value partition key, and aggregate each partition with one
-    vectorized pandas/numpy kernel (``group_fn(group) -> pa.Table``).
-    All rows of a key land in one partition, so in-partition aggregation
-    is exact — and the sort-shuffle runs over a 32-value int key instead
-    of the full key domain, which measures several times cheaper than
+    """The one key-partitioned exchange, for aggregates and per-key
+    scans (windows, Hash-to-Min rounds) alike: append an int32 ``part``
+    column (``joins._part_of`` of ``key_col``), shuffle by that
+    ``n_parts``-value key, and run one vectorized pandas/numpy kernel per
+    partition (``group_fn(group) -> pa.Table``).  All rows of a key land
+    in one partition, so an in-partition aggregate or per-key scan is
+    exact — and the sort-shuffle runs over a small int key instead of
+    the full key domain, which measures several times cheaper than
     ``Dataset.groupby(key).aggregate(...)`` when the key has 10^5+
     distinct values (14.7 s vs 2.3 s on a 147k-key Sum at sf0.1)."""
     def add_part(batch: pa.Table) -> pa.Table:
-        vals = batch.column(key_col).to_pandas()
-        h = pd.util.hash_array(vals.to_numpy(), hash_key="0123456789123456")
         return batch.append_column(
-            "part", pa.array((h % np.uint64(n_parts)).astype(np.int32)))
+            "part", pa.array(_part_of(batch.column(key_col), n_parts)))
 
     return ds.map_batches(add_part, batch_format="pyarrow") \
         .groupby("part", num_partitions=n_parts) \
@@ -161,19 +173,17 @@ def dedup_exact(sf_dir: str):
 def lang_stats(sf_dir: str):
     ds = _read_sized(sf_dir, "documents", columns=["lang", "n_chars"])
     from ray.data.aggregate import Count, Mean, Sum
-    ds = ds.groupby("lang").aggregate(Count(), Sum("n_chars"), Mean("n_chars"))
+    ds = ds.groupby("lang").aggregate(
+        Count(alias_name="n_docs"), Sum("n_chars", alias_name="total_chars"),
+        Mean("n_chars", alias_name="avg_chars"))
 
-    def rename(batch: pa.Table) -> pa.Table:
+    def round_avg(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
-        return pa.table({
-            "lang": batch.column("lang"),
-            "n_docs": batch.column("count()").cast(pa.int64()),
-            "total_chars": batch.column("sum(n_chars)").cast(pa.int64()),
-            # half away from zero, as the oracle's round (the mean is
-            # never negative); pc.round's default is half to even
-            "avg_chars": pc.round(batch.column("mean(n_chars)"), 6,
-                                  round_mode="half_towards_infinity")})
-    return ds.map_batches(rename, batch_format="pyarrow")
+        # half away from zero, as the oracle's round (the mean is
+        # never negative); pc.round's default is half to even
+        return batch.set_column(3, "avg_chars", pc.round(
+            batch.column("avg_chars"), 6, round_mode="half_towards_infinity"))
+    return ds.map_batches(round_avg, batch_format="pyarrow")
 
 
 def top_longest(sf_dir: str, k: int = 20):
@@ -185,14 +195,9 @@ def token_stats(sf_dir: str):
     ds = _read_sized(sf_dir, "documents", columns=["doc_id", "lang", "text"])
     ds = ds.map_batches(tx.token_count_batch, batch_format="pyarrow")
     from ray.data.aggregate import Count, Sum
-    ds = ds.groupby("lang").aggregate(Sum("token_count"), Count())
-
-    def rename(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "lang": batch.column("lang"),
-            "total_tokens": batch.column("sum(token_count)").cast(pa.int64()),
-            "n_docs": batch.column("count()").cast(pa.int64())})
-    return ds.map_batches(rename, batch_format="pyarrow")
+    return ds.groupby("lang").aggregate(
+        Sum("token_count", alias_name="total_tokens"),
+        Count(alias_name="n_docs"))
 
 
 def token_stats_bpe(sf_dir: str):
@@ -545,16 +550,9 @@ def events_hourly(sf_dir: str):
     from ray.data.aggregate import Sum
     ds = ds.map_batches(partial_agg, batch_format="pyarrow")
     ds = ds.groupby(["window_start", "event_type"]).aggregate(
-        Sum("part_n"), Sum("part_sum"))
-
-    def rename(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        return pa.table({
-            "window_start": batch.column("window_start"),
-            "event_type": batch.column("event_type"),
-            "n_events": batch.column("sum(part_n)").cast(pa.int64()),
-            "sum_value": pc.round(batch.column("sum(part_sum)"), 6)})
-    return ds.map_batches(rename, batch_format="pyarrow")
+        Sum("part_n", alias_name="n_events"),
+        Sum("part_sum", alias_name="sum_value"))
+    return _rounded(ds, sum_value=6)
 
 
 _EVENT_TYPES = ["click", "error", "purchase", "signup", "view"]
@@ -577,15 +575,8 @@ def events_daily_pivot(sf_dir: str):
 
     from ray.data.aggregate import Sum
     ds = ds.map_batches(partial, batch_format="pyarrow")
-    ds = ds.groupby("day").aggregate(
-        *[Sum(f"n_{t}") for t in _EVENT_TYPES])
-
-    def rename(batch: pa.Table) -> pa.Table:
-        cols = {"day": batch.column("day")}
-        for t in _EVENT_TYPES:
-            cols[f"n_{t}"] = batch.column(f"sum(n_{t})").cast(pa.int64())
-        return pa.table(cols)
-    return ds.map_batches(rename, batch_format="pyarrow")
+    return ds.groupby("day").aggregate(
+        *[Sum(f"n_{t}", alias_name=f"n_{t}") for t in _EVENT_TYPES])
 
 
 _PIVOT_SCHEMA = pa.schema(
@@ -790,18 +781,11 @@ def events_watermark_late(sf_dir: str, lateness_min: int = 10,
     ds = ds.map_batches(add_bucket, batch_format="pyarrow")
     ds = ds.groupby("bucket").map_groups(label, batch_format="pyarrow")
     from ray.data.aggregate import Sum
-    ds = ds.groupby("window_start").aggregate(Sum("part_n"),
-                                              Sum("part_late"),
-                                              Sum("part_sum"))
-
-    def rename(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        return pa.table({
-            "window_start": batch.column("window_start"),
-            "n_events": batch.column("sum(part_n)").cast(pa.int64()),
-            "n_late": batch.column("sum(part_late)").cast(pa.int64()),
-            "sum_value": pc.round(batch.column("sum(part_sum)"), 6)})
-    return ds.map_batches(rename, batch_format="pyarrow")
+    ds = ds.groupby("window_start").aggregate(
+        Sum("part_n", alias_name="n_events"),
+        Sum("part_late", alias_name="n_late"),
+        Sum("part_sum", alias_name="sum_value"))
+    return _rounded(ds, sum_value=6)
 
 
 _WM_BUCKET_SCHEMA = pa.schema([
@@ -832,18 +816,11 @@ def pricing_summary(sf_dir: str):
     from ray.data.aggregate import Sum
     ds = ds.map_batches(partial, batch_format="pyarrow")
     ds = ds.groupby(["l_returnflag", "l_linestatus"]).aggregate(
-        Sum("part_qty"), Sum("part_base"), Sum("part_disc"), Sum("part_n"))
-
-    def rename(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        return pa.table({
-            "l_returnflag": batch.column("l_returnflag"),
-            "l_linestatus": batch.column("l_linestatus"),
-            "sum_qty": pc.round(batch.column("sum(part_qty)"), 2),
-            "sum_base_price": pc.round(batch.column("sum(part_base)"), 2),
-            "sum_disc_price": pc.round(batch.column("sum(part_disc)"), 2),
-            "count_order": batch.column("sum(part_n)").cast(pa.int64())})
-    return ds.map_batches(rename, batch_format="pyarrow")
+        Sum("part_qty", alias_name="sum_qty"),
+        Sum("part_base", alias_name="sum_base_price"),
+        Sum("part_disc", alias_name="sum_disc_price"),
+        Sum("part_n", alias_name="count_order"))
+    return _rounded(ds, sum_qty=2, sum_base_price=2, sum_disc_price=2)
 
 
 def order_revenue(sf_dir: str, k: int = 10):
@@ -907,16 +884,10 @@ def events_sliding(sf_dir: str, window_hours: int = 3):
 
     from ray.data.aggregate import Sum
     ds = ds.map_batches(explode_partial, batch_format="pyarrow")
-    ds = ds.groupby("window_start").aggregate(Sum("part_n"),
-                                              Sum("part_sum"))
-
-    def rename(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        return pa.table({
-            "window_start": batch.column("window_start"),
-            "n_events": batch.column("sum(part_n)").cast(pa.int64()),
-            "sum_value": pc.round(batch.column("sum(part_sum)"), 6)})
-    return ds.map_batches(rename, batch_format="pyarrow")
+    ds = ds.groupby("window_start").aggregate(
+        Sum("part_n", alias_name="n_events"),
+        Sum("part_sum", alias_name="sum_value"))
+    return _rounded(ds, sum_value=6)
 
 
 def distinct_users(sf_dir: str):
@@ -1048,15 +1019,9 @@ def local_supplier_revenue(sf_dir: str):
                    post_schema=_LOCAL_REV_PARTIAL_SCHEMA)
     # 25 nations: a handful of reduce partitions is plenty
     ds = ds.groupby("nation", num_partitions=8).aggregate(
-        Sum("part_rev"), Sum("part_n"))
-
-    def rename(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        return pa.table({
-            "nation": batch.column("nation"),
-            "revenue": pc.round(batch.column("sum(part_rev)"), 2),
-            "n_items": batch.column("sum(part_n)").cast(pa.int64())})
-    return ds.map_batches(rename, batch_format="pyarrow")
+        Sum("part_rev", alias_name="revenue"),
+        Sum("part_n", alias_name="n_items"))
+    return _rounded(ds, revenue=2)
 
 
 _LOCAL_REV_PARTIAL_SCHEMA = pa.schema([
@@ -1134,15 +1099,9 @@ def events_range_pairs(sf_dir: str, window_sec: int = 60):
     ds = ds.map_batches(band, batch_format="pyarrow")
     ds = ds.groupby("part", num_partitions=n_parts).map_groups(
         pairs, batch_format="pyarrow")
-    ds = ds.groupby(["id_a", "id_b"], num_partitions=16).aggregate(
-        Max("user_id"), Max("dt_sec"))
-
-    def rename(batch: pa.Table) -> pa.Table:
-        return pa.table({"id_a": batch.column("id_a"),
-                         "id_b": batch.column("id_b"),
-                         "user_id": batch.column("max(user_id)"),
-                         "dt_sec": batch.column("max(dt_sec)")})
-    return ds.map_batches(rename, batch_format="pyarrow")
+    return ds.groupby(["id_a", "id_b"], num_partitions=16).aggregate(
+        Max("user_id", alias_name="user_id"),
+        Max("dt_sec", alias_name="dt_sec"))
 
 
 _RANGE_BAND_SCHEMA = pa.schema([
@@ -1233,15 +1192,10 @@ def revenue_by_nation(sf_dir: str):
     ds = _read_sized(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
     ds = ds.map_batches(JoinAgg, batch_format="pyarrow", concurrency=(1, 4))
     from ray.data.aggregate import Sum
-    ds = ds.groupby("nation").aggregate(Sum("part_n"), Sum("part_rev"))
-
-    def rename(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        return pa.table({
-            "nation": batch.column("nation"),
-            "n_orders": batch.column("sum(part_n)").cast(pa.int64()),
-            "revenue": pc.round(batch.column("sum(part_rev)"), 2)})
-    return ds.map_batches(rename, batch_format="pyarrow")
+    ds = ds.groupby("nation").aggregate(
+        Sum("part_n", alias_name="n_orders"),
+        Sum("part_rev", alias_name="revenue"))
+    return _rounded(ds, revenue=2)
 
 
 # ------------------------------------------------- round-3 training-data ops
@@ -1362,17 +1316,9 @@ def customers_no_orders(sf_dir: str, n_parts: int = 16):
                    n_parts=n_parts, merge_post=fold,
                    post_schema=_NOORD_PARTIAL_SCHEMA)
     from ray.data.aggregate import Sum
-    ds = ds.groupby("c_mktsegment").aggregate(Sum("part_n"),
-                                              Sum("part_cents"))
-
-    def rename(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "c_mktsegment": batch.column("c_mktsegment"),
-            "n_customers": batch.column("sum(part_n)").cast(pa.int64()),
-            "total_acctbal_cents":
-                batch.column("sum(part_cents)").cast(pa.int64())})
-
-    return ds.map_batches(rename, batch_format="pyarrow")
+    return ds.groupby("c_mktsegment").aggregate(
+        Sum("part_n", alias_name="n_customers"),
+        Sum("part_cents", alias_name="total_acctbal_cents"))
 
 
 _RUNNING_SCHEMA = pa.schema([
@@ -1391,12 +1337,6 @@ def running_revenue(sf_dir: str, n_parts: int = 16):
                      columns=["o_custkey", "o_orderkey", "o_orderdate",
                               "o_totalprice"])
 
-    def add_part(batch: pa.Table) -> pa.Table:
-        keys = np.asarray(batch.column("o_custkey"))
-        h = pd.util.hash_array(keys, hash_key="0123456789123456")
-        return batch.append_column(
-            "part", pa.array((h % np.uint64(n_parts)).astype(np.int32)))
-
     def scan(group: pa.Table) -> pa.Table:
         df = group.to_pandas().sort_values(
             ["o_custkey", "o_orderdate", "o_orderkey"], kind="mergesort")
@@ -1406,9 +1346,7 @@ def running_revenue(sf_dir: str, n_parts: int = 16):
         df = df[["o_custkey", "o_orderkey", "o_orderdate", "running_cents"]]
         return _pd_table(df, _RUNNING_SCHEMA)
 
-    return (ds.map_batches(add_part, batch_format="pyarrow")
-            .groupby("part", num_partitions=n_parts)
-            .map_groups(scan, batch_format="pyarrow"))
+    return _partitioned_agg(ds, "o_custkey", scan, n_parts=n_parts)
 
 
 _BIGRAM_PARTIAL_SCHEMA = pa.schema([
@@ -1498,13 +1436,6 @@ def stratified_sample(sf_dir: str, target_per_lang: int = 50):
 
 _EDGE_SCHEMA = pa.schema([("u", pa.int64()), ("v", pa.int64())])
 _LABEL_SCHEMA = pa.schema([("doc_id", pa.int64()), ("component", pa.int64())])
-
-
-def _edge_part(batch: pa.Table, n_parts: int) -> pa.Table:
-    h = pd.util.hash_array(np.asarray(batch.column("u")),
-                           hash_key="0123456789123456")
-    return batch.append_column(
-        "part", pa.array((h % np.uint64(n_parts)).astype(np.int32)))
 
 
 def _hash_to_min_round(group: pa.Table) -> pa.Table:
@@ -1640,13 +1571,9 @@ def component_label_ref(sf_dir: str, n_parts: int = 8,
         return _local_cc.remote(*edges.to_arrow_refs())
 
     prev = None
-    import functools
-    part_fn = functools.partial(_edge_part, n_parts=n_parts)
     for _ in range(max_iters):
-        edges = (edges.map_batches(part_fn, batch_format="pyarrow")
-                 .groupby("part", num_partitions=n_parts)
-                 .map_groups(_hash_to_min_round, batch_format="pyarrow")
-                 .materialize())
+        edges = _partitioned_agg(edges, "u", _hash_to_min_round,
+                                 n_parts=n_parts).materialize()
         ck = _edge_checksum(edges)
         if ck == prev:
             break
@@ -1659,9 +1586,7 @@ def component_label_ref(sf_dir: str, n_parts: int = 8,
         return pa.table({"doc_id": lab.index.to_numpy(), "component": comp},
                         schema=_LABEL_SCHEMA)
 
-    lab = (edges.map_batches(part_fn, batch_format="pyarrow")
-           .groupby("part", num_partitions=n_parts)
-           .map_groups(labels, batch_format="pyarrow"))
+    lab = _partitioned_agg(edges, "u", labels, n_parts=n_parts)
 
     # Singleton docs get component = self.  The label table is tiny next
     # to the corpus (only near-dup members appear in it), so it becomes
@@ -1746,12 +1671,6 @@ def events_user_gaps(sf_dir: str, n_parts: int = 16):
     exact across engines."""
     ds = _read_sized(sf_dir, "events", columns=["user_id", "ts"])
 
-    def add_part(batch: pa.Table) -> pa.Table:
-        keys = np.asarray(batch.column("user_id"))
-        h = pd.util.hash_array(keys, hash_key="0123456789123456")
-        return batch.append_column(
-            "part", pa.array((h % np.uint64(n_parts)).astype(np.int32)))
-
     def gaps(group: pa.Table) -> pa.Table:
         df = group.to_pandas().sort_values(["user_id", "ts"],
                                            kind="mergesort")
@@ -1767,9 +1686,7 @@ def events_user_gaps(sf_dir: str, n_parts: int = 16):
             total_gap_sec=("gap_sec", "sum")).reset_index()
         return _pd_table(out, _GAPS_SCHEMA)
 
-    return (ds.map_batches(add_part, batch_format="pyarrow")
-            .groupby("part", num_partitions=n_parts)
-            .map_groups(gaps, batch_format="pyarrow"))
+    return _partitioned_agg(ds, "user_id", gaps, n_parts=n_parts)
 
 
 _BENCH_SHINGLE_SCHEMA = pa.schema([("g", pa.uint64())])
@@ -1854,14 +1771,8 @@ def customer_order_distribution(sf_dir: str, n_parts: int = 16):
                    n_parts=n_parts, merge_post=fold,
                    post_schema=_Q13_PARTIAL_SCHEMA)
     from ray.data.aggregate import Sum
-    ds = ds.groupby("n_orders").aggregate(Sum("part_n"))
-
-    def rename(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "n_orders": batch.column("n_orders").cast(pa.int64()),
-            "n_customers": batch.column("sum(part_n)").cast(pa.int64())})
-
-    return ds.map_batches(rename, batch_format="pyarrow")
+    return ds.groupby("n_orders").aggregate(
+        Sum("part_n", alias_name="n_customers"))
 
 
 def weighted_sample(sf_dir: str, target: int = 100):
@@ -1924,14 +1835,8 @@ def orders_with_bulk_items(sf_dir: str, min_qty: float = 45.0,
                    n_parts=n_parts, merge_post=fold,
                    post_schema=_Q4_PARTIAL_SCHEMA)
     from ray.data.aggregate import Sum
-    ds = ds.groupby("o_orderpriority").aggregate(Sum("part_n"))
-
-    def rename(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "o_orderpriority": batch.column("o_orderpriority"),
-            "n_orders": batch.column("sum(part_n)").cast(pa.int64())})
-
-    return ds.map_batches(rename, batch_format="pyarrow")
+    return ds.groupby("o_orderpriority").aggregate(
+        Sum("part_n", alias_name="n_orders"))
 
 
 _QSKETCH_PARTIAL_SCHEMA = pa.schema([

@@ -43,18 +43,6 @@ def _scalar_reduce(ds, final_fn, schema: pa.Schema):
                                          batch_size=None)
 
 
-def _hash_part(col_name: str, n_parts: int):
-    """Append an int32 coarse-partition column from a stable murmur hash
-    of ``col_name`` — the window-function partitioner (all rows of one
-    key land in one partition)."""
-    def add_part(batch: pa.Table) -> pa.Table:
-        keys = np.asarray(batch.column(col_name))
-        h = pd.util.hash_array(keys, hash_key="0123456789123456")
-        return batch.append_column(
-            "part", pa.array((h % np.uint64(n_parts)).astype(np.int32)))
-    return add_part
-
-
 # ------------------------------------------------- TPC-H flavored scans
 
 _FORECAST_PARTIAL = pa.schema([("part_cents", pa.int64()),
@@ -391,10 +379,8 @@ def small_qty_revenue(sf_dir: str, n_parts: int = 32):
             "part_rows": pa.array([int(keep.sum())], pa.int64())},
             schema=_SMALLQ_JOIN_SCHEMA)
 
-    parts = ds.map_batches(_hash_part("l_partkey", n_parts),
-                           batch_format="pyarrow") \
-        .groupby("part", num_partitions=n_parts) \
-        .map_groups(per_part_filter, batch_format="pyarrow")
+    parts = _partitioned_agg(ds, "l_partkey", per_part_filter,
+                             n_parts=n_parts)
 
     def final(batch: pa.Table) -> pa.Table:
         return pa.table({
@@ -411,9 +397,6 @@ def small_qty_revenue(sf_dir: str, n_parts: int = 32):
 _SUPPBAL_PARTIAL = pa.schema([("r_name", pa.string()),
                               ("part_n", pa.int64()),
                               ("part_cents", pa.int64())])
-_SUPPBAL_SCHEMA = pa.schema([("r_name", pa.string()),
-                             ("n_suppliers", pa.int64()),
-                             ("total_acctbal_cents", pa.int64())])
 
 
 def supplier_balance_by_region(sf_dir: str):
@@ -440,20 +423,12 @@ def supplier_balance_by_region(sf_dir: str):
                          _SUPPBAL_PARTIAL)
 
     from ray.data.aggregate import Sum
-    ds = _read_sized(sf_dir, "supplier",
-                     columns=["s_nationkey", "s_acctbal"]) \
+    return _read_sized(sf_dir, "supplier",
+                       columns=["s_nationkey", "s_acctbal"]) \
         .map_batches(partial, batch_format="pyarrow") \
-        .groupby("r_name").aggregate(Sum("part_n"), Sum("part_cents"))
-
-    def rename(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "r_name": batch.column("r_name"),
-            "n_suppliers": batch.column("sum(part_n)").cast(pa.int64()),
-            "total_acctbal_cents":
-                batch.column("sum(part_cents)").cast(pa.int64())},
-            schema=_SUPPBAL_SCHEMA)
-
-    return ds.map_batches(rename, batch_format="pyarrow")
+        .groupby("r_name").aggregate(
+            Sum("part_n", alias_name="n_suppliers"),
+            Sum("part_cents", alias_name="total_acctbal_cents"))
 
 
 # ------------------------------------------------------ window queries
@@ -481,10 +456,7 @@ def orders_rank_in_customer(sf_dir: str, k: int = 3, n_parts: int = 16):
         df = df[["o_custkey", "o_orderkey", "rnk", "price_cents"]]
         return _pd_table(df, _RANK_SCHEMA)
 
-    return (ds.map_batches(_hash_part("o_custkey", n_parts),
-                           batch_format="pyarrow")
-            .groupby("part", num_partitions=n_parts)
-            .map_groups(rank, batch_format="pyarrow"))
+    return _partitioned_agg(ds, "o_custkey", rank, n_parts=n_parts)
 
 
 _MAVG_SCHEMA = pa.schema([
@@ -512,18 +484,12 @@ def events_moving_sum(sf_dir: str, n_parts: int = 16):
         df = df[["user_id", "event_id", "w3_cents"]]
         return _pd_table(df, _MAVG_SCHEMA)
 
-    return (ds.map_batches(_hash_part("user_id", n_parts),
-                           batch_format="pyarrow")
-            .groupby("part", num_partitions=n_parts)
-            .map_groups(window, batch_format="pyarrow"))
+    return _partitioned_agg(ds, "user_id", window, n_parts=n_parts)
 
 
 _TRANS_PARTIAL = pa.schema([
     ("prev_type", pa.string()), ("event_type", pa.string()),
     ("part_n", pa.int64())])
-_TRANS_SCHEMA = pa.schema([
-    ("prev_type", pa.string()), ("event_type", pa.string()),
-    ("n", pa.int64())])
 
 
 def events_type_transitions(sf_dir: str, n_parts: int = 16):
@@ -548,20 +514,9 @@ def events_type_transitions(sf_dir: str, n_parts: int = 16):
         return _pd_table(g, _TRANS_PARTIAL)
 
     from ray.data.aggregate import Sum
-    ds = (ds.map_batches(_hash_part("user_id", n_parts),
-                         batch_format="pyarrow")
-          .groupby("part", num_partitions=n_parts)
-          .map_groups(count_pairs, batch_format="pyarrow")
-          .groupby(["prev_type", "event_type"]).aggregate(Sum("part_n")))
-
-    def rename(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "prev_type": batch.column("prev_type"),
-            "event_type": batch.column("event_type"),
-            "n": batch.column("sum(part_n)").cast(pa.int64())},
-            schema=_TRANS_SCHEMA)
-
-    return ds.map_batches(rename, batch_format="pyarrow")
+    return _partitioned_agg(ds, "user_id", count_pairs, n_parts=n_parts) \
+        .groupby(["prev_type", "event_type"]).aggregate(
+            Sum("part_n", alias_name="n"))
 
 
 # ------------------------------------------------- behavioral analytics
@@ -669,8 +624,6 @@ def daily_active_users(sf_dir: str):
 _HIST_PARTIAL = pa.schema([("bucket", pa.int64()),
                            ("part_n", pa.int64()),
                            ("part_chars", pa.int64())])
-_HIST_SCHEMA = pa.schema([("bucket", pa.int64()), ("n_docs", pa.int64()),
-                          ("total_chars", pa.int64())])
 
 
 def doc_length_histogram(sf_dir: str, width: int = 100):
@@ -687,25 +640,15 @@ def doc_length_histogram(sf_dir: str, width: int = 100):
         return _pd_table(g, _HIST_PARTIAL)
 
     from ray.data.aggregate import Sum
-    ds = ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby("bucket").aggregate(Sum("part_n"), Sum("part_chars"))
-
-    def rename(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "bucket": batch.column("bucket").cast(pa.int64()),
-            "n_docs": batch.column("sum(part_n)").cast(pa.int64()),
-            "total_chars":
-                batch.column("sum(part_chars)").cast(pa.int64())},
-            schema=_HIST_SCHEMA)
-
-    return ds.map_batches(rename, batch_format="pyarrow")
+    return ds.map_batches(partial, batch_format="pyarrow") \
+        .groupby("bucket").aggregate(
+            Sum("part_n", alias_name="n_docs"),
+            Sum("part_chars", alias_name="total_chars"))
 
 
 _KEYWORDS = ("spark", "window", "vector")
 _KW_PARTIAL = pa.schema([("lang", pa.string()), ("keyword", pa.string()),
                          ("part_n", pa.int64())])
-_KW_SCHEMA = pa.schema([("lang", pa.string()), ("keyword", pa.string()),
-                        ("n_docs", pa.int64())])
 
 
 def keyword_doc_counts(sf_dir: str, keywords=_KEYWORDS):
@@ -730,17 +673,9 @@ def keyword_doc_counts(sf_dir: str, keywords=_KEYWORDS):
         return _pd_table(out, _KW_PARTIAL)
 
     from ray.data.aggregate import Sum
-    ds = ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby(["lang", "keyword"]).aggregate(Sum("part_n"))
-
-    def rename(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "lang": batch.column("lang"),
-            "keyword": batch.column("keyword"),
-            "n_docs": batch.column("sum(part_n)").cast(pa.int64())},
-            schema=_KW_SCHEMA)
-
-    return ds.map_batches(rename, batch_format="pyarrow")
+    return ds.map_batches(partial, batch_format="pyarrow") \
+        .groupby(["lang", "keyword"]).aggregate(
+            Sum("part_n", alias_name="n_docs"))
 
 
 # ---------------------------------------------------------- embeddings
@@ -748,9 +683,6 @@ def keyword_doc_counts(sf_dir: str, keywords=_KEYWORDS):
 _CENTROID_PARTIAL = pa.schema([
     ("label", pa.int64()), ("dim", pa.int64()),
     ("part_sum", pa.float64()), ("part_n", pa.int64())])
-_CENTROID_SCHEMA = pa.schema([
-    ("label", pa.int64()), ("dim", pa.int64()),
-    ("avg_val", pa.float64())])
 
 
 def label_centroids(sf_dir: str):
@@ -780,19 +712,17 @@ def label_centroids(sf_dir: str):
 
     from ray.data.aggregate import Sum
     ds = ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby(["label", "dim"]).aggregate(Sum("part_sum"),
-                                             Sum("part_n"))
+        .groupby(["label", "dim"]).aggregate(
+            Sum("part_sum", alias_name="sum_val"),
+            Sum("part_n", alias_name="n"))
 
-    def rename(batch: pa.Table) -> pa.Table:
-        s = np.asarray(batch.column("sum(part_sum)"))
-        n = np.asarray(batch.column("sum(part_n)"))
-        return pa.table({
-            "label": batch.column("label").cast(pa.int64()),
-            "dim": batch.column("dim").cast(pa.int64()),
-            "avg_val": pa.array(np.round(s / n, 6), pa.float64())},
-            schema=_CENTROID_SCHEMA)
+    def mean(batch: pa.Table) -> pa.Table:
+        s = np.asarray(batch.column("sum_val"))
+        n = np.asarray(batch.column("n"))
+        return batch.select(["label", "dim"]).append_column(
+            "avg_val", pa.array(np.round(s / n, 6), pa.float64()))
 
-    return ds.map_batches(rename, batch_format="pyarrow")
+    return ds.map_batches(mean, batch_format="pyarrow")
 
 
 # ------------------------------------------------- similarity search
@@ -842,9 +772,6 @@ _PROPS_PARTIAL = pa.schema([
     ("event_type", pa.string()), ("part_n", pa.int64()),
     ("part_sum", pa.int64()), ("part_min", pa.int64()),
     ("part_max", pa.int64())])
-_PROPS_SCHEMA = pa.schema([
-    ("event_type", pa.string()), ("n_events", pa.int64()),
-    ("sum_k", pa.int64()), ("min_k", pa.int64()), ("max_k", pa.int64())])
 
 
 def events_props_stats(sf_dir: str):
@@ -870,21 +797,12 @@ def events_props_stats(sf_dir: str):
         return _pd_table(g, _PROPS_PARTIAL)
 
     from ray.data.aggregate import Max, Min, Sum
-    ds = ds.map_batches(partial, batch_format="pyarrow") \
+    return ds.map_batches(partial, batch_format="pyarrow") \
         .groupby("event_type").aggregate(
-            Sum("part_n"), Sum("part_sum"), Min("part_min"),
-            Max("part_max"))
-
-    def rename(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "event_type": batch.column("event_type"),
-            "n_events": batch.column("sum(part_n)").cast(pa.int64()),
-            "sum_k": batch.column("sum(part_sum)").cast(pa.int64()),
-            "min_k": batch.column("min(part_min)").cast(pa.int64()),
-            "max_k": batch.column("max(part_max)").cast(pa.int64())},
-            schema=_PROPS_SCHEMA)
-
-    return ds.map_batches(rename, batch_format="pyarrow")
+            Sum("part_n", alias_name="n_events"),
+            Sum("part_sum", alias_name="sum_k"),
+            Min("part_min", alias_name="min_k"),
+            Max("part_max", alias_name="max_k"))
 
 
 _KNN_SCHEMA = pa.schema([
@@ -936,9 +854,6 @@ def knn_classify(sf_dir: str, n_queries: int = 8, k: int = 10):
 _RETENTION_PARTIAL = pa.schema([
     ("cohort_day", pa.string()), ("part_users", pa.int64()),
     ("part_d1", pa.int64()), ("part_d7", pa.int64())])
-_RETENTION_SCHEMA = pa.schema([
-    ("cohort_day", pa.string()), ("n_users", pa.int64()),
-    ("retained_d1", pa.int64()), ("retained_d7", pa.int64())])
 
 
 def events_retention(sf_dir: str):
@@ -992,18 +907,10 @@ def events_retention(sf_dir: str):
     parts = _partitioned_agg(
         ds.map_batches(pairs, batch_format="pyarrow"),
         "user_id", cohort_partial)
-    ds = parts.groupby("cohort_day").aggregate(
-        Sum("part_users"), Sum("part_d1"), Sum("part_d7"))
-
-    def rename(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "cohort_day": batch.column("cohort_day"),
-            "n_users": batch.column("sum(part_users)").cast(pa.int64()),
-            "retained_d1": batch.column("sum(part_d1)").cast(pa.int64()),
-            "retained_d7": batch.column("sum(part_d7)").cast(pa.int64())},
-            schema=_RETENTION_SCHEMA)
-
-    return ds.map_batches(rename, batch_format="pyarrow")
+    return parts.groupby("cohort_day").aggregate(
+        Sum("part_users", alias_name="n_users"),
+        Sum("part_d1", alias_name="retained_d1"),
+        Sum("part_d7", alias_name="retained_d7"))
 
 
 _DEGREE_SCHEMA = pa.schema([

@@ -266,32 +266,27 @@ def nation_trade_balance(sf_dir: str):
     seed = _read_sized(sf_dir, "nation", columns=["n_nationkey"]) \
         .map_batches(nation_seed, batch_format="pyarrow")
     ds = cust.union(supp, seed).groupby("nationkey").aggregate(
-        Sum("c_n"), Sum("c_cents"), Sum("s_n"), Sum("s_cents"))
+        Sum("c_n", alias_name="n_customers"),
+        Sum("c_cents", alias_name="customer_cents"),
+        Sum("s_n", alias_name="n_suppliers"),
+        Sum("s_cents", alias_name="supplier_cents"))
 
     # nation names via the broadcast lookup; the inner join drops the
     # partials of nation keys that no nation row has (the oracle's
     # LEFT JOIN from nation never sees them)
     nation_ref = _nation_lookup(sf_dir)
 
-    def rename(batch: pa.Table) -> pa.Table:
+    def name_nations(batch: pa.Table) -> pa.Table:
         nation = ray.get(nation_ref)
         hit, row = nation.probe(np.asarray(batch.column("nationkey")))
-        batch = batch.filter(pa.array(hit))
-        return pa.table({
-            "n_name": pa.array(nation["n_name"][row], pa.string()),
-            "n_customers": batch.column("sum(c_n)").cast(pa.int64()),
-            "customer_cents": batch.column("sum(c_cents)").cast(pa.int64()),
-            "n_suppliers": batch.column("sum(s_n)").cast(pa.int64()),
-            "supplier_cents": batch.column("sum(s_cents)").cast(pa.int64())})
+        return batch.filter(pa.array(hit)).set_column(
+            0, "n_name", pa.array(nation["n_name"][row], pa.string()))
 
-    return ds.map_batches(rename, batch_format="pyarrow")
+    return ds.map_batches(name_nations, batch_format="pyarrow")
 
 
 # --------------------------------------------------- per-user anomaly scan
 
-_ANOM_SCHEMA = pa.schema([
-    ("event_type", pa.string()), ("n_events", pa.int64()),
-    ("n_outliers", pa.int64())])
 _USTAT_PARTIAL = pa.schema([
     ("user_id", pa.int64()), ("n", pa.int64()),
     ("s1", pa.float64()), ("s2", pa.float64())])
@@ -367,17 +362,9 @@ def events_anomaly(sf_dir: str, sigmas: float = 3.0):
                        post_schema=_ANOM_PARTIAL)
 
     from ray.data.aggregate import Sum as _Sum
-    agg = joined.groupby("event_type").aggregate(_Sum("part_n"),
-                                                 _Sum("part_out"))
-
-    def rename(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "event_type": batch.column("event_type"),
-            "n_events": batch.column("sum(part_n)").cast(pa.int64()),
-            "n_outliers": batch.column("sum(part_out)").cast(
-                pa.int64())}, schema=_ANOM_SCHEMA)
-
-    return agg.map_batches(rename, batch_format="pyarrow")
+    return joined.groupby("event_type").aggregate(
+        _Sum("part_n", alias_name="n_events"),
+        _Sum("part_out", alias_name="n_outliers"))
 
 
 # ------------------------------------------- interleaved-spans media gallery
@@ -537,17 +524,9 @@ def corpus_curation(sf_dir: str, min_chars: int = 100,
     parts = _partitioned_agg(
         ds.map_batches(screen, batch_format="pyarrow"), "h",
         dedup_rollup, n_parts=n_parts)
-    agg = parts.groupby("lang").aggregate(Sum("part_n"),
-                                          Sum("part_chars"))
-
-    def rename(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "lang": batch.column("lang"),
-            "n_docs": batch.column("sum(part_n)").cast(pa.int64()),
-            "total_chars": batch.column("sum(part_chars)").cast(
-                pa.int64())})
-
-    return agg.map_batches(rename, batch_format="pyarrow")
+    return parts.groupby("lang").aggregate(
+        Sum("part_n", alias_name="n_docs"),
+        Sum("part_chars", alias_name="total_chars"))
 
 
 # ------------------------------------------------- spans text reassembly

@@ -303,8 +303,6 @@ def pack_sequences(sf_dir: str, seq_len: int = 256, n_buckets: int = 64):
 
 _BPE_PAIR_PARTIAL = pa.schema([
     ("pair", pa.string()), ("part_n", pa.int64())])
-_BPE_PAIR_SCHEMA = pa.schema([
-    ("pair", pa.string()), ("n", pa.int64())])
 
 
 def bpe_merge_pairs(sf_dir: str, k: int = 20):
@@ -339,14 +337,6 @@ def bpe_merge_pairs(sf_dir: str, k: int = 20):
             schema=_BPE_PAIR_PARTIAL)
 
     from ray.data.aggregate import Sum
-    agg = ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby("pair").aggregate(Sum("part_n"))
-
-    def rename(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "pair": batch.column("pair"),
-            "n": batch.column("sum(part_n)").cast(pa.int64())},
-            schema=_BPE_PAIR_SCHEMA)
-
-    return agg.map_batches(rename, batch_format="pyarrow") \
+    return ds.map_batches(partial, batch_format="pyarrow") \
+        .groupby("pair").aggregate(Sum("part_n", alias_name="n")) \
         .sort(["n", "pair"], descending=[True, False]).limit(k)

@@ -67,10 +67,6 @@ _VOL_PARTIAL2 = pa.schema([
     ("supp_nation", pa.string()), ("cust_nation", pa.string()),
     ("l_year", pa.int64()), ("part_n", pa.int64()),
     ("part_cents", pa.int64())])
-_VOL_SCHEMA = pa.schema([
-    ("supp_nation", pa.string()), ("cust_nation", pa.string()),
-    ("l_year", pa.int64()), ("n_items", pa.int64()),
-    ("revenue_cents", pa.int64())])
 
 
 def volume_shipping(sf_dir: str,
@@ -153,20 +149,9 @@ def volume_shipping(sf_dir: str,
                        merge_post=fold2, post_schema=_VOL_PARTIAL2)
 
     from ray.data.aggregate import Sum
-    agg = j2.groupby(["supp_nation", "cust_nation", "l_year"]) \
-        .aggregate(Sum("part_n"), Sum("part_cents"))
-
-    def rename(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "supp_nation": batch.column("supp_nation"),
-            "cust_nation": batch.column("cust_nation"),
-            "l_year": batch.column("l_year").cast(pa.int64()),
-            "n_items": batch.column("sum(part_n)").cast(pa.int64()),
-            "revenue_cents":
-                batch.column("sum(part_cents)").cast(pa.int64())},
-            schema=_VOL_SCHEMA)
-
-    return agg.map_batches(rename, batch_format="pyarrow")
+    return j2.groupby(["supp_nation", "cust_nation", "l_year"]) \
+        .aggregate(Sum("part_n", alias_name="n_items"),
+                   Sum("part_cents", alias_name="revenue_cents"))
 
 
 # ------------------------------------------- TPC-H Q9: product profit
@@ -174,9 +159,6 @@ def volume_shipping(sf_dir: str,
 _PROFIT_PARTIAL = pa.schema([
     ("nation", pa.string()), ("l_year", pa.int64()),
     ("part_n", pa.int64()), ("part_profit", pa.int64())])
-_PROFIT_SCHEMA = pa.schema([
-    ("nation", pa.string()), ("l_year", pa.int64()),
-    ("n_items", pa.int64()), ("profit_cents", pa.int64())])
 
 
 def product_profit(sf_dir: str):
@@ -219,19 +201,9 @@ def product_profit(sf_dir: str):
                   merge_post=fold, post_schema=_PROFIT_PARTIAL)
 
     from ray.data.aggregate import Sum
-    agg = j.groupby(["nation", "l_year"]) \
-        .aggregate(Sum("part_n"), Sum("part_profit"))
-
-    def rename(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "nation": batch.column("nation"),
-            "l_year": batch.column("l_year").cast(pa.int64()),
-            "n_items": batch.column("sum(part_n)").cast(pa.int64()),
-            "profit_cents":
-                batch.column("sum(part_profit)").cast(pa.int64())},
-            schema=_PROFIT_SCHEMA)
-
-    return agg.map_batches(rename, batch_format="pyarrow")
+    return j.groupby(["nation", "l_year"]) \
+        .aggregate(Sum("part_n", alias_name="n_items"),
+                   Sum("part_profit", alias_name="profit_cents"))
 
 
 # ------------------------------------- TPC-H Q22: rich inactive customers
@@ -239,9 +211,6 @@ def product_profit(sf_dir: str):
 _RICH_PARTIAL = pa.schema([
     ("c_nationkey", pa.int64()), ("part_n", pa.int64()),
     ("part_cents", pa.int64())])
-_RICH_SCHEMA = pa.schema([
-    ("nation", pa.string()), ("n_customers", pa.int64()),
-    ("total_cents", pa.int64())])
 
 
 def rich_customers_no_orders(sf_dir: str, n_parts: int = 16):
@@ -313,23 +282,19 @@ def rich_customers_no_orders(sf_dir: str, n_parts: int = 16):
                    post_schema=_RICH_PARTIAL)
 
     from ray.data.aggregate import Sum
-    agg = ds.groupby("c_nationkey").aggregate(Sum("part_n"),
-                                              Sum("part_cents"))
+    agg = ds.groupby("c_nationkey").aggregate(
+        Sum("part_n", alias_name="n_customers"),
+        Sum("part_cents", alias_name="total_cents"))
     nat_ref = _nation_lookup(sf_dir)
 
-    def rename(batch: pa.Table) -> pa.Table:
+    def name_nations(batch: pa.Table) -> pa.Table:
         import ray
         nation = ray.get(nat_ref)
         hit, row = nation.probe(np.asarray(batch.column("c_nationkey")))
-        batch = batch.filter(pa.array(hit))
-        return pa.table({
-            "nation": pa.array(nation["n_name"][row], pa.string()),
-            "n_customers": batch.column("sum(part_n)").cast(pa.int64()),
-            "total_cents":
-                batch.column("sum(part_cents)").cast(pa.int64())},
-            schema=_RICH_SCHEMA)
+        return batch.filter(pa.array(hit)).set_column(
+            0, "nation", pa.array(nation["n_name"][row], pa.string()))
 
-    return agg.map_batches(rename, batch_format="pyarrow")
+    return agg.map_batches(name_nations, batch_format="pyarrow")
 
 
 # -------------------------------------------- canonical-doc selection

@@ -315,25 +315,21 @@ def domain_mixture_weights(sf_dir: str):
 
     from ray.data.aggregate import Sum
     agg = ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby("source").aggregate(Sum("part_docs"),
-                                     Sum("part_tokens"),
-                                     Sum("part_chars"))
+        .groupby("source").aggregate(
+            Sum("part_docs", alias_name="n_docs"),
+            Sum("part_tokens", alias_name="n_tokens"),
+            Sum("part_chars", alias_name="n_chars"))
 
     def shares(batch: pa.Table) -> pa.Table:
         df = batch.to_pandas()
-        n_tokens = df["sum(part_tokens)"].astype("int64")
         # Python ints: the ppm numerator can exceed int64 at full scale
-        w = [math.floor(math.sqrt(int(t)) * 1e6 + 0.5) for t in n_tokens]
+        w = [math.floor(math.sqrt(int(t)) * 1e6 + 0.5)
+             for t in df["n_tokens"]]
         total = sum(w)
-        return _pd_table(pd.DataFrame({
-            "source": df["source"],
-            "n_docs": df["sum(part_docs)"].astype("int64"),
-            "n_tokens": n_tokens,
-            "n_chars": df["sum(part_chars)"].astype("int64"),
-            "w_micro": pd.Series(w, dtype="int64"),
-            "share_ppm": pd.Series(
-                [wi * 1_000_000 // total for wi in w], dtype="int64"),
-        }), _MIX_SCHEMA)
+        df["w_micro"] = pd.Series(w, dtype="int64")
+        df["share_ppm"] = pd.Series(
+            [wi * 1_000_000 // total for wi in w], dtype="int64")
+        return _pd_table(df, _MIX_SCHEMA)
 
     # the per-source table is tiny; normalization needs the global sum,
     # so it runs in exactly one task over the WHOLE block (batch_size
@@ -348,9 +344,6 @@ def domain_mixture_weights(sf_dir: str):
 _KM_PARTIAL = pa.schema([
     ("cluster", pa.int64()), ("dim", pa.int64()),
     ("part_sum", pa.float64()), ("part_n", pa.int64())])
-_KM_STEP_SCHEMA = pa.schema([
-    ("cluster", pa.int64()), ("dim", pa.int64()),
-    ("centroid_val", pa.float64()), ("n_members", pa.int64())])
 _KM_ASSIGN_SCHEMA = pa.schema([
     ("vec_id", pa.int64()), ("cluster", pa.int64())])
 
@@ -399,12 +392,31 @@ def _centroid_partials(batch: pa.Table, centers_ref) -> pa.Table:
         schema=_KM_PARTIAL)
 
 
+def _lloyd_step(ds, centers: np.ndarray):
+    """One Lloyd round over ``ds`` (vec_id, embedding): broadcast
+    ``centers`` once, fold each batch to k x dim partial sums, and sum
+    them per (cluster, dim) — columns cluster, dim, sum_val, n_members
+    (the members of a cluster, repeated on each of its dims)."""
+    import functools
+
+    import ray
+    from ray.data.aggregate import Sum
+    centers_ref = ray.put(centers)
+    return ds.map_batches(
+        functools.partial(_centroid_partials, centers_ref=centers_ref),
+        batch_format="pyarrow") \
+        .groupby(["cluster", "dim"]).aggregate(
+            Sum("part_sum", alias_name="sum_val"),
+            Sum("part_n", alias_name="n_members"))
+
+
 def kmeans_one_step(sf_dir: str, k: int = 8):
     """One Lloyd iteration, exactly: assign every embedding to its
     nearest of the k deterministic init centroids (first k vec_ids,
     squared L2, ties to the lowest centroid index) and emit the updated
-    centroids as (cluster, dim, centroid_val, n_members) — the
-    SQL-checkable core of the iterative ``kmeans_cluster`` below.
+    centroids as (cluster, dim, centroid_val, n_members) — one
+    ``_lloyd_step``, the SQL-checkable round that the iterative
+    ``kmeans_cluster`` below repeats.
 
     Scale shape: centroids broadcast once via ray.put; each batch folds
     to k x dim partial-sum rows (O(k*dim) per batch, independent of
@@ -418,33 +430,17 @@ def kmeans_one_step(sf_dir: str, k: int = 8):
     engines use the same (x-c)^2 formula on the same float64 values, so
     only accumulated rounding differs — vanishing on real-valued
     embeddings, impossible to hit with the synthetic corpus)."""
-    import functools
-
-    import ray
-    centers = _init_centers(sf_dir, k)
-    centers_ref = ray.put(centers)
-
     ds = _read_sized(sf_dir, "embeddings",
                      columns=["vec_id", "embedding"])
-    partials = ds.map_batches(
-        functools.partial(_centroid_partials, centers_ref=centers_ref),
-        batch_format="pyarrow")
 
-    from ray.data.aggregate import Sum
-    agg = partials.groupby(["cluster", "dim"]) \
-        .aggregate(Sum("part_sum"), Sum("part_n"))
+    def mean(batch: pa.Table) -> pa.Table:
+        s = np.asarray(batch.column("sum_val"), dtype=np.float64)
+        n = np.asarray(batch.column("n_members"), dtype=np.int64)
+        return batch.set_column(2, "centroid_val",
+                                pa.array(s / n, pa.float64()))
 
-    def finish(batch: pa.Table) -> pa.Table:
-        s = np.asarray(batch.column("sum(part_sum)"), dtype=np.float64)
-        n = np.asarray(batch.column("sum(part_n)"), dtype=np.int64)
-        return pa.table({
-            "cluster": batch.column("cluster").cast(pa.int64()),
-            "dim": batch.column("dim").cast(pa.int64()),
-            "centroid_val": pa.array(s / n, pa.float64()),
-            "n_members": pa.array(n, pa.int64())},
-            schema=_KM_STEP_SCHEMA)
-
-    return agg.map_batches(finish, batch_format="pyarrow")
+    return _lloyd_step(ds, _init_centers(sf_dir, k)) \
+        .map_batches(mean, batch_format="pyarrow")
 
 
 def kmeans_cluster(sf_dir: str, k: int = 8, max_iters: int = 10,
@@ -460,11 +456,8 @@ def kmeans_cluster(sf_dir: str, k: int = 8, max_iters: int = 10,
     bounded-state shape as ann_ivf's quantizer.  Empty clusters keep
     their previous centroid.  No SQL oracle (iterative); pinned in
     tests against a from-scratch local Lloyd reference."""
-    import functools
-
     import ray
     centers = _init_centers(sf_dir, k)
-    dim = centers.shape[1]
 
     # cache the training set once: every iteration re-reading parquet
     # costs a full read per round (measured 10.7 -> ~4 s at sf0.1); the
@@ -474,19 +467,12 @@ def kmeans_cluster(sf_dir: str, k: int = 8, max_iters: int = 10,
                      columns=["vec_id", "embedding"]).materialize()
 
     for _ in range(max_iters):
-        centers_ref = ray.put(centers)
-        partials = ds.map_batches(
-            functools.partial(_centroid_partials,
-                              centers_ref=centers_ref),
-            batch_format="pyarrow")
-        from ray.data.aggregate import Sum
-        tbl = partials.groupby(["cluster", "dim"]) \
-            .aggregate(Sum("part_sum"), Sum("part_n")).to_pandas()
+        tbl = _lloyd_step(ds, centers).to_pandas()
         new = centers.copy()
         cl = tbl["cluster"].to_numpy(dtype=np.int64)
         dm = tbl["dim"].to_numpy(dtype=np.int64)
-        new[cl, dm] = (tbl["sum(part_sum)"].to_numpy()
-                       / tbl["sum(part_n)"].to_numpy())
+        new[cl, dm] = (tbl["sum_val"].to_numpy()
+                       / tbl["n_members"].to_numpy())
         moved = float(np.abs(new - centers).max())
         centers = new
         if moved < tol:
@@ -578,6 +564,20 @@ _BPE_MERGES = pa.schema([
     ("n", pa.int64())])
 
 
+def _merge_pair(syms: list, left: str, right: str) -> list:
+    """``syms`` with each adjacent (left, right) pair, matched left to
+    right without overlap, replaced by the one symbol left + right."""
+    new, i = [], 0
+    while i < len(syms):
+        if i + 1 < len(syms) and syms[i] == left and syms[i + 1] == right:
+            new.append(left + right)
+            i += 2
+        else:
+            new.append(syms[i])
+            i += 1
+    return new
+
+
 def bpe_train(sf_dir: str, n_merges: int = 10):
     """Full iterative BPE tokenizer training (Sennrich-style): ``n``
     greedy merge rounds, each taking the corpus-wide most frequent
@@ -643,42 +643,32 @@ def bpe_train(sf_dir: str, n_merges: int = 10):
         # is the winner of some block, so a per-block head + a
         # blocks-count driver fold replaces a full distributed sort
         df = batch.to_pandas().sort_values(
-            ["sum(part_n)", "left", "right"],
-            ascending=[False, True, True]).head(1)
+            ["n", "left", "right"], ascending=[False, True, True]).head(1)
         return _pd_table(df)
 
     merges = {"step": [], "left": [], "right": [], "merged": [],
               "n": []}
     for step in range(n_merges):
         cands = vocab.map_batches(pair_partial, batch_format="pyarrow") \
-            .groupby(["left", "right"]).aggregate(Sum("part_n")) \
+            .groupby(["left", "right"]).aggregate(
+                Sum("part_n", alias_name="n")) \
             .map_batches(local_top1, batch_format="pyarrow").take_all()
         if not cands:
             break
-        best = min(cands, key=lambda r: (-int(r["sum(part_n)"]),
-                                         r["left"], r["right"]))
-        if int(best["sum(part_n)"]) < 2:
+        best = min(cands, key=lambda r: (-int(r["n"]), r["left"],
+                                         r["right"]))
+        if int(best["n"]) < 2:
             break
         left, right = best["left"], best["right"]
         merges["step"].append(step)
         merges["left"].append(left)
         merges["right"].append(right)
         merges["merged"].append(left + right)
-        merges["n"].append(int(best["sum(part_n)"]))
+        merges["n"].append(int(best["n"]))
 
         def apply(batch: pa.Table, l=left, r=right) -> pa.Table:
-            out = []
-            for syms in batch.column("syms").to_pylist():
-                new, i = [], 0
-                while i < len(syms):
-                    if (i + 1 < len(syms) and syms[i] == l
-                            and syms[i + 1] == r):
-                        new.append(l + r)
-                        i += 2
-                    else:
-                        new.append(syms[i])
-                        i += 1
-                out.append(new)
+            out = [_merge_pair(syms, l, r)
+                   for syms in batch.column("syms").to_pylist()]
             return pa.table({
                 "word": batch.column("word"),
                 "freq": batch.column("freq"),
@@ -713,16 +703,7 @@ def bpe_encode(sf_dir: str, n_merges: int = 10):
     def encode_word(word: str) -> int:
         syms = list(word)
         for left, right in merges:
-            new, i = [], 0
-            while i < len(syms):
-                if (i + 1 < len(syms) and syms[i] == left
-                        and syms[i + 1] == right):
-                    new.append(left + right)
-                    i += 2
-                else:
-                    new.append(syms[i])
-                    i += 1
-            syms = new
+            syms = _merge_pair(syms, left, right)
         return len(syms)
 
     docs = _read_sized(sf_dir, "documents", columns=["doc_id", "text"])
@@ -846,13 +827,12 @@ def kcenter_sample(sf_dir: str, k: int = 16):
     diverse seed set.
 
     Scale shape: the selected-set state is O(k x dim) and broadcasts
-    each round; each round is ONE map-only pass that updates a running
-    min-distance per vector (computed against only the NEWEST center —
-    the classic k-center optimization) and emits a one-row per-batch
-    argmax partial; the driver folds O(blocks) candidate rows.  The
-    running min-distances ride inside the pass by re-deriving from the
-    full center set (stateless tasks), so rounds stay independent and
-    resumable."""
+    each round; each round is ONE map-only pass that recomputes every
+    vector's min squared distance against ALL centers picked so far
+    (stateless tasks: no per-vector distance carries between rounds,
+    so rounds stay independent and resumable) and emits a one-row
+    per-batch argmax partial; the calling process folds the O(blocks)
+    candidate rows."""
     import ray
 
     ds = _read_sized(sf_dir, "embeddings",
@@ -1102,12 +1082,11 @@ def revenue_rollup(sf_dir: str):
     from ray.data.aggregate import Sum
     finest = ds.map_batches(partial, batch_format="pyarrow") \
         .groupby(["o_orderpriority", "o_year"]) \
-        .aggregate(Sum("part_n"), Sum("part_cents"))
+        .aggregate(Sum("part_n", alias_name="n_orders"),
+                   Sum("part_cents", alias_name="revenue_cents"))
 
     def rollup(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas().rename(columns={
-            "sum(part_n)": "n_orders", "sum(part_cents)":
-                "revenue_cents"})
+        df = batch.to_pandas()
         lvl1 = df[["o_orderpriority", "o_year", "n_orders",
                    "revenue_cents"]]
         lvl2 = df.groupby("o_orderpriority", as_index=False).agg(

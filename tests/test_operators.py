@@ -226,3 +226,12 @@ def test_lang_stats_rounds_ties_away_from_zero(ray_session, tmp_path):
     got = _pd(lang_stats(str(tmp_path)))
     assert got["avg_chars"].tolist() == [266.820313]
     _assert_matches_oracle("lang_stats", got, str(tmp_path))
+
+
+@pytest.mark.parametrize("name", ["token_stats", "events_daily_pivot",
+                                  "events_watermark_late",
+                                  "pricing_summary", "events_sliding"])
+def test_named_aggregate_matches_oracle(ray_session, name):
+    """Grouped aggregates whose output columns are named by the
+    aggregate itself (``alias_name``) match their oracle."""
+    _assert_matches_oracle(name)

@@ -2,7 +2,10 @@
 given sf and compare against oracle_sql() via DuckDB (row count + schema +
 order-insensitive value hash).  Each line gives the query's seconds and,
 where there is an oracle, the oracle's own DuckDB seconds, so a slow
-oracle shows up beside a slow query.
+oracle shows up beside a slow query.  A last summary line counts the
+queries run, MATCH, rows-only and FAIL (a query that raises is a FAIL)
+and sums the query seconds, failed queries included, so two sweeps can
+be compared line for line.
 
     python tools/check_oracles.py SF_DIR [QUERY ...]
 """
@@ -62,22 +65,27 @@ def main(sf_dir: str, only=None):
 
     qs = E.queries()
     oracles = E.oracle_sql()
-    failures = 0
+    failures = n_run = n_match = n_rows_only = 0
+    query_s = 0.0
     for name, fn in qs.items():
         if only and name not in only:
             continue
+        n_run += 1
         t0 = time.time()
         try:
             mine = canon(to_pandas(fn(sf_dir)))
         except Exception as e:
             import traceback
             traceback.print_exc()
+            query_s += time.time() - t0
             print(f"FAIL {name}: query raised {e}")
             failures += 1
             continue
         dt = time.time() - t0
+        query_s += dt
         if name not in oracles:
             print(f"ok   {name}: rows={len(mine)} (rows-only) {dt:.1f}s")
+            n_rows_only += 1
             continue
         t0 = time.time()
         gold = canon(con.execute(oracles[name]).fetchdf())
@@ -101,6 +109,10 @@ def main(sf_dir: str, only=None):
             failures += 1
         else:
             print(f"ok   {name}: rows={len(mine)} MATCH {secs}")
+            n_match += 1
+    print(f"summary: queries={n_run} MATCH={n_match} "
+          f"rows-only={n_rows_only} FAIL={failures} "
+          f"query_s={query_s:.1f}")
     ray.shutdown()
     return failures
 
