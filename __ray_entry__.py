@@ -79,7 +79,7 @@ def extract_corpus_ranged_query(sf_dir: str):
     """Extraction through the range-read path (pdf/chunked_data.py, the
     reference ChunkedStream/NetworkPdfManager analog): raw .pdf files on
     disk -> pointer-only shard rows -> ChunkedData range fetches inside
-    ExtractShards -> reassembly.  No actor ever holds a whole payload;
+    ExtractDocs -> reassembly.  No actor ever holds a whole payload;
     digests equal extract_corpus (pinned in tests/test_ranged.py)."""
     from iesl_pdf_to_text_ray.pipelines.extract_pipeline import \
         extract_pdf_dir_ranged

@@ -382,11 +382,6 @@ def shingles_flat(texts: list, cache: dict, k: int = SHINGLE_K
     return doc_of[0:m][valid], sh[valid]
 
 
-def ngram_set(text: str, k: int = SHINGLE_K) -> set:
-    toks = _tokens(text)
-    return {" ".join(toks[i:i + k]) for i in range(max(1, len(toks) - k + 1))}
-
-
 N_PREFIX_PARTS = 16   # prefix-join partitions; scale with cluster width
 
 

@@ -109,14 +109,17 @@ class PdfDocument:
             pass
         return len(self.pages)
 
-    def pages_slice(self, start: int, stop: int) -> list[Page]:
-        """Pages [start, stop) fetching only the objects needed: /Count
-        lets whole out-of-range subtrees be skipped unvisited, and when a
-        node's Count equals len(Kids) every kid is a leaf page, so
-        out-of-range siblings are never fetched either (the flat-tree
-        common case).  Assumes consistent /Count values (as every
-        range-request reader does — pdf.js getPage); the eager ``pages``
-        walk remains the semantics reference."""
+    def pages_slice(self, start: int, stop: int | None) -> list[Page]:
+        """Pages [start, stop) (``stop=None``: to the last page), fetching
+        only the objects needed: /Count lets whole out-of-range subtrees
+        be skipped unvisited, and when a node's Count equals len(Kids)
+        every kid is a leaf page, so out-of-range siblings are never
+        fetched either (the flat-tree common case).  Assumes consistent
+        /Count values (as every range-request reader does — pdf.js
+        getPage); the eager ``pages`` walk remains the semantics
+        reference."""
+        if stop is None:
+            stop = float("inf")
         xref = self.xref
         out: list[Page] = []
         seen: set[int] = set()

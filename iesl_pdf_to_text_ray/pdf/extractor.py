@@ -11,15 +11,16 @@ from .evaluator import interpret_page
 
 
 def extract_spans(pdf_bytes: bytes,
-                  page_range: tuple[int, int] | None = None,
+                  page_range: tuple[int, int | None] | None = None,
                   password: bytes = b"",
                   ) -> list[tuple[str, str, str, int]]:
     """Extract the full span sequence of a document in reading order.
 
     page_range: optional (start, stop) page-index slice for page-level
-    skew splitting; offsets are then local to the slice (the reassembly
-    stage rebases them).  ``password`` unlocks encrypted documents (the
-    empty default covers the common empty-user-password case).
+    skew splitting, where a None stop runs to the last page; offsets are
+    then local to the slice (the reassembly stage rebases them).
+    ``password`` unlocks encrypted documents (the empty default covers
+    the common empty-user-password case).
     """
     doc = PdfDocument(pdf_bytes, password=password)
     if page_range is not None and hasattr(pdf_bytes, "view"):

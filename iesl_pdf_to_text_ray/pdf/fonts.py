@@ -42,10 +42,6 @@ def glyph_list() -> dict:
     return _load("glyphlist.json")
 
 
-def dingbats_glyph_list() -> dict:
-    return _load("dingbats.json")
-
-
 def encodings() -> dict:
     return _load("encodings.json")
 

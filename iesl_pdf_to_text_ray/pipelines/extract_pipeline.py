@@ -11,7 +11,7 @@ Ray-Data-native topology (streaming end to end, SURVEY.md §7):
                                                     # its parquet + lineage
   page-split runs (split_pages=True; the ranged raw-file path) share one
   chain, _sharded, over pointer-only (doc_id, path, n_pages) rows:
-    split_tasks -> map_batches(ExtractShards)       # fan out, read, parse
+    split_tasks -> map_batches(ExtractDocs)         # fan out, read, parse
       -> groupby(doc_id).map_groups(reassemble)     # the one shuffle
     [extract_to_dir: groupby(partition_id) reassembles and writes at once]
 
@@ -29,8 +29,7 @@ import pyarrow as pa
 
 from ..stages.extract import (OUT_SCHEMA, PAGES_PER_SHARD,
                               SPLIT_PAGE_THRESHOLD, ExtractDocs,
-                              ExtractShards, reassemble_groups, spans_digest,
-                              split_tasks)
+                              reassemble_groups, spans_digest, split_tasks)
 from ..state import lineage
 
 
@@ -38,19 +37,21 @@ def _input_shards(corpus_dir: str) -> list[str]:
     return sorted(glob.glob(os.path.join(corpus_dir, "*.parquet")))
 
 
-def _sharded(ds, *, threshold: int, pages_per_shard: int, batch_size: int,
-             concurrency):
+def _sharded(ds, key: str, fn, *, threshold: int, pages_per_shard: int,
+             batch_size: int, concurrency):
     """The page-split chain over (doc_id, path, n_pages[, partition_id])
-    rows: split_tasks, then ExtractShards.  The split knobs are bound into
-    the worker UDF via functools.partial (pickled by value — module-global
-    overrides would not reach workers).  Callers group the shard rows for
-    ``reassemble_groups``."""
+    rows: split_tasks, ExtractDocs, then groupby(``key``).map_groups(``fn``)
+    — ``fn`` reassembles a group's shard rows (``reassemble_groups``).
+    The split knobs are bound into the worker UDF via functools.partial
+    (pickled by value — module-global overrides would not reach
+    workers)."""
     ds = ds.map_batches(
         functools.partial(split_tasks, threshold=threshold,
                           pages_per_shard=pages_per_shard),
         batch_format="pyarrow", batch_size=batch_size)
-    return ds.map_batches(ExtractShards, batch_format="pyarrow",
-                          batch_size=batch_size, concurrency=concurrency)
+    ds = ds.map_batches(ExtractDocs, batch_format="pyarrow",
+                        batch_size=batch_size, concurrency=concurrency)
+    return ds.groupby(key).map_groups(fn, batch_format="pyarrow")
 
 
 def extract_dataset(corpus_dir_or_ds, *, concurrency=(1, 8),
@@ -78,11 +79,10 @@ def extract_dataset(corpus_dir_or_ds, *, concurrency=(1, 8),
     ds = ray.data.read_parquet(_input_shards(corpus_dir_or_ds),
                                columns=["doc_id", "n_pages"],
                                include_paths=True)
-    ds = _sharded(ds, threshold=split_threshold,
-                  pages_per_shard=pages_per_shard, batch_size=batch_size,
-                  concurrency=concurrency)
-    return ds.groupby("doc_id").map_groups(reassemble_groups,
-                                           batch_format="pyarrow")
+    return _sharded(ds, "doc_id", reassemble_groups,
+                    threshold=split_threshold,
+                    pages_per_shard=pages_per_shard, batch_size=batch_size,
+                    concurrency=concurrency)
 
 
 def extract_to_dir(corpus_dir: str, out_dir: str, *, concurrency=(1, 8),
@@ -149,13 +149,11 @@ def extract_to_dir(corpus_dir: str, out_dir: str, *, concurrency=(1, 8),
     if pending:
         ds = ray.data.read_parquet(pending, columns=["doc_id", "n_pages"],
                                    include_paths=True)
-        ds = _sharded(ds.map_batches(tag_partition, batch_format="pyarrow"),
-                      threshold=split_threshold,
-                      pages_per_shard=pages_per_shard,
-                      batch_size=batch_size, concurrency=concurrency)
-        manifest += (ds.groupby("partition_id")
-                     .map_groups(write_group, batch_format="pyarrow")
-                     .take_all())
+        manifest += _sharded(
+            ds.map_batches(tag_partition, batch_format="pyarrow"),
+            "partition_id", write_group, threshold=split_threshold,
+            pages_per_shard=pages_per_shard, batch_size=batch_size,
+            concurrency=concurrency).take_all()
     return _add_manifest(stats, manifest)
 
 
@@ -185,8 +183,8 @@ def _add_manifest(stats: dict, manifest: list[dict]) -> dict:
 
 class ExtractPartitions:
     """map_batches(ExtractPartitions, batch_size=1, ...) over rows of
-    ``path``: parses each input shard in batches of ``batch_size``
-    documents and writes it as one output partition."""
+    ``path``: runs ``ExtractDocs`` over each input shard in batches of
+    ``batch_size`` documents and writes it as one output partition."""
 
     def __init__(self, out_dir: str, batch_size: int):
         self._extract = ExtractDocs()
@@ -197,17 +195,14 @@ class ExtractPartitions:
         import pyarrow.parquet as pq
         out = []
         for path in batch.column("path").to_pylist():
-            shard = pq.ParquetFile(path)
-            cols = ["doc_id", "pdf_bytes"]
             parts = [self._extract(pa.Table.from_batches([b]))
-                     for b in shard.iter_batches(
-                         batch_size=self._batch_size, columns=cols)]
-            if not parts:   # an empty shard still completes
-                parts = [self._extract(
-                    shard.schema_arrow.empty_table().select(cols))]
-            out.append(_write_partition(self._out_dir,
-                                        lineage.partition_id_for(path),
-                                        pa.concat_tables(parts)))
+                     for b in pq.ParquetFile(path).iter_batches(
+                         batch_size=self._batch_size,
+                         columns=["doc_id", "pdf_bytes"])]
+            # an empty shard still completes, as an empty partition
+            out.append(_write_partition(
+                self._out_dir, lineage.partition_id_for(path),
+                pa.concat_tables(parts or [OUT_SCHEMA.empty_table()])))
         return pa.concat_tables(out)
 
 
@@ -268,20 +263,20 @@ def extract_pdf_manifest_ranged(manifest, *, concurrency=(1, 8),
     from ..pdf.extractor import count_pages
 
     def add_pages(batch: pa.Table) -> pa.Table:
-        # O(1) fetches per file: header + trailer + root /Count chunks
+        # O(1) fetches per file: header + trailer + root /Count chunks;
+        # an uncountable file is one open-ended shard (null n_pages)
         pages = []
         for p in batch.column("path").to_pylist():
             try:
                 pages.append(count_pages(ChunkedData.from_file(p)))
             except Exception:
-                pages.append(1)
+                pages.append(None)
         return batch.append_column("n_pages",
                                    pa.array(pages, pa.int32()))
 
     ds = manifest.map_batches(add_pages, batch_format="pyarrow",
                               batch_size=batch_size)
-    ds = _sharded(ds, threshold=split_threshold,
-                  pages_per_shard=pages_per_shard, batch_size=batch_size,
-                  concurrency=concurrency)
-    return ds.groupby("doc_id").map_groups(reassemble_groups,
-                                           batch_format="pyarrow")
+    return _sharded(ds, "doc_id", reassemble_groups,
+                    threshold=split_threshold,
+                    pages_per_shard=pages_per_shard, batch_size=batch_size,
+                    concurrency=concurrency)

@@ -133,12 +133,22 @@ def broadcast_lookup(sf_dir: str, table: str, key: str,
         key, values, os.path.join(sf_dir, f"{table}.parquet"))
 
 
+def _block_refs(ds) -> list:
+    """Object refs of the blocks of one run of ``ds`` (Arrow blocks when
+    its UDFs return Arrow tables).  Not ``to_arrow_refs``: on a UDF's
+    output that runs a limit(1) schema probe after the run, which
+    recomputes the first blocks and can abort the driver (see
+    ``_with_schema``)."""
+    return [ref for bundle in ds.iter_internal_ref_bundles()
+            for ref in bundle.block_refs]
+
+
 def dataset_lookup(ds, key: str, values: Sequence[str] = ()):
     """Object ref of the ``Lookup`` of a (small) Dataset on ``key``: its
     blocks go to one worker task as object refs, never via the caller."""
     import ray
     return ray.remote(_build_lookup).remote(key, values, None,
-                                            *ds.to_arrow_refs())
+                                            *_block_refs(ds))
 
 
 def _topk_key_counts(ds, key: str, max_hot: int = 64) -> dict:
@@ -224,12 +234,27 @@ def _salted_parts(vals: np.ndarray, side: int, n_parts: int,
     return take_idx, parts
 
 
+def _with_schema(ds):
+    """(ds, its schema), computing ``ds`` at most once.  A side whose
+    schema is unknown until run (a UDF's output) is materialized:
+    ``Dataset.schema()`` would run a limit(1) probe instead, whose early
+    shutdown cancels the side's other in-flight tasks, and a cancel that
+    races a task's reply aborts the driver (Ray 2.49 task_manager.cc
+    "Tried to complete task that was not pending").  The shuffle that
+    follows reads the whole side anyway."""
+    schema = ds.schema(fetch_if_missing=False)
+    if schema is None:
+        ds = ds.materialize()
+        schema = ds.schema()
+    return ds, schema
+
+
 def _flat_union(left, right, left_key: str, right_key: str, n_parts: int,
                 hot: dict | None = None):
     """Tag + widen both sides to one flat schema; returns (tagged_ds,
     l_names, r_names, out_schema)."""
-    l_schema = left.schema()
-    r_schema = right.schema()
+    left, l_schema = _with_schema(left)
+    right, r_schema = _with_schema(right)
     l_fields = [(n, _arrow_type(t))
                 for n, t in zip(l_schema.names, l_schema.types)]
     r_fields = [(n, _arrow_type(t))

@@ -35,7 +35,7 @@ from .table_ops import (_cents, _global_topk, _nation_lookup,
 
 # ------------------------------------------------------------ helpers
 
-def _scalar_reduce(ds, final_fn, schema: pa.Schema):
+def _scalar_reduce(ds, final_fn):
     """Merge one-row-per-batch partials into a single-row result: the
     partials are O(n_blocks) rows, so the repartition(1) exchange is
     constant-size regardless of input scale."""
@@ -87,7 +87,7 @@ def forecast_revenue(sf_dir: str):
                 pa.int64())}, schema=_FORECAST_SCHEMA)
 
     ds = ds.map_batches(partial, batch_format="pyarrow")
-    return _scalar_reduce(ds, final, _FORECAST_SCHEMA)
+    return _scalar_reduce(ds, final)
 
 
 _SHIPPRIO_SCHEMA = pa.schema([
@@ -284,7 +284,7 @@ def promo_revenue(sf_dir: str):
                      columns=["l_partkey", "l_shipdate", "l_extendedprice",
                               "l_discount"]) \
         .map_batches(partial, batch_format="pyarrow")
-    return _scalar_reduce(ds, final, _PROMO_SCHEMA)
+    return _scalar_reduce(ds, final)
 
 
 _LARGE_PARTIAL = pa.schema([("li_orderkey", pa.int64()),
@@ -391,7 +391,7 @@ def small_qty_revenue(sf_dir: str, n_parts: int = 32):
                 [int(np.asarray(batch.column("part_rows")).sum())],
                 pa.int64())}, schema=_SMALLQ_SCHEMA)
 
-    return _scalar_reduce(parts, final, _SMALLQ_SCHEMA)
+    return _scalar_reduce(parts, final)
 
 
 _SUPPBAL_PARTIAL = pa.schema([("r_name", pa.string()),
@@ -586,7 +586,7 @@ def events_funnel(sf_dir: str):
     parts = _partitioned_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
         "user_id", counts)
-    return _scalar_reduce(parts, final, _FUNNEL_SCHEMA)
+    return _scalar_reduce(parts, final)
 
 
 _DAU_SCHEMA = pa.schema([("day", pa.string()), ("n_users", pa.int64())])

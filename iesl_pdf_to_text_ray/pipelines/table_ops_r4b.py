@@ -154,12 +154,6 @@ def pii_scrub(sf_dir: str):
 
 # ------------------------------------------ TPC-H Q19-flavored bracket join
 
-_BRACKET_PARTIAL = pa.schema([("part_cents", pa.int64()),
-                              ("part_n", pa.int64())])
-_BRACKET_SCHEMA = pa.schema([("revenue_cents", pa.int64()),
-                             ("n_items", pa.int64())])
-
-
 def discount_bracket_revenue(sf_dir: str):
     """TPC-H Q19 flavor: revenue from lineitems matching one of three
     (brand, size, quantity) brackets — the classic OR-of-ANDs
@@ -206,7 +200,7 @@ def discount_bracket_revenue(sf_dir: str):
                 pa.int64())})
 
     ds = items.map_batches(partial, batch_format="pyarrow")
-    return _scalar_reduce(ds, final, _BRACKET_SCHEMA)
+    return _scalar_reduce(ds, final)
 
 
 # ------------------------------------------------- nation trade balance

@@ -61,11 +61,6 @@ XSPAN_STRUCT = pa.struct([
     ("mat", pa.list_(pa.float64())),
 ])
 
-SPANS_SCHEMA = pa.schema([
-    ("doc_id", pa.string()),
-    ("spans", pa.list_(SPAN_STRUCT)),
-])
-
 
 def reference_pdf_bytes() -> dict[str, bytes]:
     """The reference regression PDFs, by name (parity tests only)."""

@@ -7,11 +7,13 @@ per-row error quarantine: a malformed PDF yields an empty span list and an
 ``error`` string instead of raising, so one poison document can never kill a
 block (the reference has no equivalent; its CLI dies on the first bad file).
 
-Skew handling for pathological multi-hundred-page documents: ``split_tasks``
-fans a document out to page-range shards *before* the parse, and
-``reassemble_groups`` restores reading order by rebasing each shard's local
-span offsets — the one shuffle in the pipeline, keyed by doc_id (or, on the
-resumable run, by partition_id: one group then holds many documents).
+One class, ``ExtractDocs``, parses every PDF row: a whole document and a
+page-range shard run the same code.  Skew handling for pathological
+multi-hundred-page documents: ``split_tasks`` fans a document out to
+page-range shards *before* the parse, and ``reassemble_groups`` restores
+reading order by rebasing each shard's local span offsets — the one
+shuffle in the pipeline, keyed by doc_id (or, on the resumable run, by
+partition_id: one group then holds many documents).
 """
 
 from __future__ import annotations
@@ -49,7 +51,20 @@ def _extract_row(data, page_range=None) -> tuple[list[dict], str]:
 
 
 class ExtractDocs:
-    """map_batches(ExtractDocs, batch_format='pyarrow', concurrency=N)."""
+    """map_batches(ExtractDocs, batch_format='pyarrow', concurrency=N) over
+    PDF rows of every shape.  A row carries ``doc_id`` and either the
+    payload (``pdf_bytes``) or a pointer to it (``path``), and optionally
+    a page range ``page_start``/``page_end`` (a null end runs to the last
+    page).  ``shard`` and ``partition_id`` pass through, after
+    ``OUT_SCHEMA``'s columns.
+
+    Pointer resolution: corpus-file pointers are resolved with one
+    column-pruned, doc_id-filtered parquet read per (file, batch) — the
+    late-materialization pattern that keeps payload bytes out of the
+    shuffle; ``.pdf`` pointers are opened with range reads (``_open_pdf``).
+    The actor keeps only the payloads the current batch needs, so a
+    document whose shards span two consecutive batches is read once.
+    """
 
     def __init__(self):
         # warm the per-actor static tables once (font data JSON)
@@ -58,19 +73,55 @@ class ExtractDocs:
         fonts.encodings()
         fonts.std_fonts()
         fonts.metrics()
+        self._blob_cache: dict[tuple[str, str], bytes] = {}
+
+    def _resolve_payloads(self, ids: list, paths: list) -> list:
+        import pyarrow.parquet as pq
+        keys = list(zip(paths, ids))
+        wanted = set(keys)
+        # bound actor memory: keep only entries this batch still needs
+        cache = {k: v for k, v in self._blob_cache.items() if k in wanted}
+        need: dict[str, set] = {}
+        for path, doc in keys:
+            if not path.endswith(".pdf") and (path, doc) not in cache:
+                need.setdefault(path, set()).add(doc)
+        for path, docs in need.items():
+            t = pq.read_table(path, columns=["doc_id", "pdf_bytes"],
+                              filters=[("doc_id", "in", sorted(docs))])
+            cache.update(((path, d), b) for d, b in zip(
+                t.column("doc_id").to_pylist(),
+                t.column("pdf_bytes").to_pylist()))
+        self._blob_cache = cache
+        return [_open_pdf(p) if p.endswith(".pdf") else cache.get((p, d), b"")
+                for p, d in keys]
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        names = batch.column_names
+        ids = batch.column("doc_id").to_pylist()
+        data = (batch.column("pdf_bytes").to_pylist()
+                if "pdf_bytes" in names else
+                self._resolve_payloads(ids, batch.column("path").to_pylist()))
+        ranges = (zip(batch.column("page_start").to_pylist(),
+                      batch.column("page_end").to_pylist())
+                  if "page_start" in names else [None] * len(ids))
         out = {name: [] for name in OUT_SCHEMA.names}
-        for doc_id, data in zip(batch.column("doc_id").to_pylist(),
-                                batch.column("pdf_bytes").to_pylist()):
-            spans, err = _extract_row(data)
+        for doc_id, doc, page_range in zip(ids, data, ranges):
+            spans, err = _extract_row(doc, page_range)
             out["doc_id"].append(doc_id)
             out["spans"].append(spans)
             out["n_spans"].append(len(spans))
             out["n_text"].append(sum(s["kind"] == "text" for s in spans))
             out["n_media"].append(sum(s["kind"] == "media" for s in spans))
             out["error"].append(err)
-        return pa.Table.from_pydict(out, schema=OUT_SCHEMA)
+        table = pa.Table.from_pydict(out, schema=OUT_SCHEMA)
+        for c in ("shard", "partition_id"):
+            if c in names:
+                table = table.append_column(c, batch.column(c))
+        return table
+
+
+# perfbench/layers.py still imports the pre-merge name
+ExtractShards = ExtractDocs
 
 
 # ---- page-level skew splitting ---------------------------------------------
@@ -80,22 +131,22 @@ def split_tasks(batch: pa.Table, *,
                 pages_per_shard: int = PAGES_PER_SHARD) -> pa.Table:
     """(doc_id, path, n_pages[, partition_id]) rows -> one row per
     page-range shard: (doc_id, shard, page_start, page_end, path
-    [, partition_id]).  Shard rows carry only the storage pointer, so the
-    PDF bytes never enter the split stage or the shuffle; ``ExtractShards``
-    reads them from ``path``.  ``threshold`` is a parameter (bound via
-    functools.partial, which pickles by value — a module-global override
-    on the driver would NOT propagate to workers)."""
+    [, partition_id]).  A document at or below ``threshold`` pages is the
+    one shard (0, null); the last shard of a split document is open-ended
+    too, so an unknown or understated ``n_pages`` never drops a page.
+    Shard rows carry only the storage pointer, so the PDF bytes never
+    enter the split stage or the shuffle; ``ExtractDocs`` reads them from
+    ``path``.  ``threshold`` is a parameter (bound via functools.partial,
+    which pickles by value — a module-global override on the driver would
+    NOT propagate to workers)."""
     keep = ["doc_id", "path"] + [c for c in ("partition_id",)
                                  if c in batch.column_names]
     out = {c: [] for c in keep + ["shard", "page_start", "page_end"]}
     for row in batch.select(keep + ["n_pages"]).to_pylist():
-        n_pages = row["n_pages"] or 1   # unknown or empty: one shard
-        if n_pages <= threshold:
-            shards = [(0, n_pages)]
-        else:
-            shards = [(s, min(s + pages_per_shard, n_pages))
-                      for s in range(0, n_pages, pages_per_shard)]
-        for i, (a, b) in enumerate(shards):
+        n_pages = row["n_pages"] or 0   # unknown or empty: one shard
+        starts = (list(range(0, n_pages, pages_per_shard))
+                  if n_pages > threshold else []) or [0]
+        for i, (a, b) in enumerate(zip(starts, starts[1:] + [None])):
             for c in keep:
                 out[c].append(row[c])
             out["shard"].append(i)
@@ -107,57 +158,6 @@ def split_tasks(batch: pa.Table, *,
         "page_start": pa.array(out["page_start"], pa.int32()),
         "page_end": pa.array(out["page_end"], pa.int32()),
         **{c: pa.array(out[c], pa.string()) for c in keep[1:]}})
-
-
-class ExtractShards:
-    """Extract page-range shards (post split_tasks).
-
-    Payload resolution: corpus-file pointers are resolved with one
-    column-pruned, doc_id-filtered parquet read per (file, batch) — the
-    late-materialization pattern that keeps payload bytes out of the
-    shuffle; ``.pdf`` pointers are opened with range reads (``_open_pdf``).
-    The actor keeps only the payloads the current batch needs, so a
-    document whose shards span two consecutive batches is read once.
-    """
-
-    def __init__(self):
-        from ..pdf import fonts
-        fonts.glyph_list()
-        self._blob_cache: dict[tuple[str, str], bytes] = {}
-
-    def _resolve_payloads(self, rows: list[dict]) -> list:
-        import pyarrow.parquet as pq
-        wanted = {(r["path"], r["doc_id"]) for r in rows
-                  if not r["path"].endswith(".pdf")}
-        # bound actor memory: keep only entries this batch still needs
-        self._blob_cache = {k: v for k, v in self._blob_cache.items()
-                            if k in wanted}
-        need: dict[str, set] = {}
-        for path, doc in wanted:
-            if (path, doc) not in self._blob_cache:
-                need.setdefault(path, set()).add(doc)
-        for path, ids in need.items():
-            t = pq.read_table(path, columns=["doc_id", "pdf_bytes"],
-                              filters=[("doc_id", "in", sorted(ids))])
-            for d, b in zip(t.column("doc_id").to_pylist(),
-                            t.column("pdf_bytes").to_pylist()):
-                self._blob_cache[(path, d)] = b
-        return [_open_pdf(r["path"]) if r["path"].endswith(".pdf")
-                else self._blob_cache.get((r["path"], r["doc_id"]), b"")
-                for r in rows]
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        rows = batch.to_pylist()
-        out = [_extract_row(data, (r["page_start"], r["page_end"]))
-               for r, data in zip(rows, self._resolve_payloads(rows))]
-        cols = {"doc_id": batch.column("doc_id"),
-                "shard": batch.column("shard"),
-                "spans": pa.array([s for s, _ in out],
-                                  pa.list_(XSPAN_STRUCT)),
-                "error": pa.array([e for _, e in out], pa.string())}
-        if "partition_id" in batch.column_names:
-            cols["partition_id"] = batch.column("partition_id")
-        return pa.table(cols)
 
 
 def _open_pdf(path: str):

@@ -80,18 +80,3 @@ def remove_stray_temps(out_dir: str) -> list[str]:
                 os.remove(os.path.join(d, name))
                 removed.append(name)
     return removed
-
-
-def read_lineage(out_dir: str) -> list[dict]:
-    out = []
-    ldir = lineage_dir(out_dir)
-    if not os.path.isdir(ldir):
-        return out
-    for name in sorted(os.listdir(ldir)):
-        if name.endswith(".json"):
-            try:
-                with open(os.path.join(ldir, name)) as f:
-                    out.append(json.load(f))
-            except (OSError, json.JSONDecodeError):
-                continue
-    return out

@@ -140,6 +140,42 @@ def test_hash_join_matches_pandas(ray_session):
     assert out.equals(exp)
 
 
+def test_udf_inputs_run_once(ray_session, tmp_path):
+    """``hash_join`` and ``dataset_lookup`` run an input whose schema is
+    unknown until run (a UDF's output) once: no ``Dataset.schema()``
+    limit(1) probe, which recomputes the first blocks and, shutting down
+    early, cancels the input's other in-flight tasks.  Such a cancel
+    racing the task's reply aborts the driver (Ray 2.49
+    ``task_manager.cc`` "Tried to complete task that was not pending")."""
+    import uuid
+
+    import ray
+    import ray.data
+    from iesl_pdf_to_text_ray.pipelines.joins import (dataset_lookup,
+                                                      hash_join)
+    calls = tmp_path / "calls"
+    calls.mkdir()
+
+    def mark(batch: pa.Table) -> pa.Table:
+        (calls / uuid.uuid4().hex).touch()   # one file per UDF call
+        return batch
+
+    def marked():   # 4 blocks -> 4 UDF calls per run
+        return ray.data.from_items(
+            [{"k": i, "a": 2 * i} for i in range(40)],
+            override_num_blocks=4).map_batches(
+                mark, batch_format="pyarrow", batch_size=None)
+
+    right = ray.data.from_arrow(pa.table({"kk": [1, 2], "b": [1.0, 2.0]}))
+    out = _pd(hash_join(marked(), right, "k", "kk", n_parts=2))
+    assert sorted(out["k"]) == [1, 2]
+    assert len(list(calls.iterdir())) == 4
+    lookup = ray.get(dataset_lookup(marked(), "k", ["a"]))
+    assert list(lookup.keys) == list(range(40))
+    assert list(lookup["a"]) == list(range(0, 80, 2))
+    assert len(list(calls.iterdir())) == 8
+
+
 def test_asof_join_backward(ray_session):
     """asof_join == latest right row at-or-before each left ts per key."""
     import pandas as pd

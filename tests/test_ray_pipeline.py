@@ -25,20 +25,29 @@ def corpus_dir(tmp_path_factory):
     return synthesize_pdf_corpus(str(d), n_docs=12, n_shards=4)
 
 
-def _one_file_corpus(d, docs: dict) -> str:
-    """``docs`` ({doc_id: pdf bytes}) as a one-shard corpus in ``d``."""
+def _one_file_corpus(d, docs: dict, n_pages: dict | None = None) -> str:
+    """``docs`` ({doc_id: pdf bytes}) as a one-shard corpus in ``d``;
+    ``n_pages`` ({doc_id: count}) overrides the counted page numbers."""
     import pyarrow as pa
     import pyarrow.parquet as pq
 
     from iesl_pdf_to_text_ray.pdf.extractor import count_pages
     from iesl_pdf_to_text_ray.sources.corpus import CORPUS_SCHEMA
+    n_pages = n_pages or {}
     d.mkdir()
     pq.write_table(pa.table({
         "doc_id": list(docs), "pdf_bytes": list(docs.values()),
-        "n_pages": pa.array([count_pages(b) for b in docs.values()],
-                            pa.int32())}, schema=CORPUS_SCHEMA),
-        str(d / "part-00000.parquet"))
+        "n_pages": pa.array([n_pages.get(k, count_pages(b))
+                             for k, b in docs.items()], pa.int32())},
+        schema=CORPUS_SCHEMA), str(d / "part-00000.parquet"))
     return str(d)
+
+
+def _predicted(spans) -> tuple:
+    """Span rows in the generator's prediction form: (kind, text,
+    media_ref, inserted word spaces), the spaces being x's -1 sentinels."""
+    return tuple((s["kind"], s["text"], s["media_ref"],
+                  sum(1 for v in s["x"] if v == -1.0)) for s in spans)
 
 
 def test_extract_dataset_end_to_end(ray_session, corpus_dir):
@@ -93,6 +102,72 @@ def test_page_split_reassembly_identical(ray_session, corpus_dir, tmp_path):
         assert split_rows.keys() == whole_rows.keys()
         for doc_id in whole_rows:
             assert split_rows[doc_id] == whole_rows[doc_id], doc_id
+
+
+def test_split_covers_unknown_and_understated_page_counts(ray_session,
+                                                         tmp_path):
+    """The last shard of a document runs to its last page, whatever the
+    corpus says its page count is: a null ``n_pages`` (one open-ended
+    shard) and an understated one (2 for a 7-page document, split into
+    pages [0, 1) and [1, end)) still give every page.  The split rows
+    equal the whole-document rows and the generator's prediction, field
+    by field."""
+    unknown, understated = base_documents()[0], base_documents()[3]
+    assert (unknown.n_pages, understated.n_pages) == (4, 7)
+    corpus = _one_file_corpus(
+        tmp_path / "corpus",
+        {"unknown": unknown.pdf_bytes, "understated": understated.pdf_bytes},
+        n_pages={"unknown": None, "understated": 2})
+    split = {r["doc_id"]: r for r in extract_dataset(
+        corpus, concurrency=2, batch_size=4, split_pages=True,
+        split_threshold=1, pages_per_shard=1).take_all()}
+    whole = {r["doc_id"]: r for r in extract_dataset(
+        corpus, concurrency=2, batch_size=4).take_all()}
+    assert split.keys() == whole.keys() == {"unknown", "understated"}
+    for doc_id, base in (("unknown", unknown), ("understated", understated)):
+        assert split[doc_id]["error"] == "", doc_id
+        assert split[doc_id] == whole[doc_id], doc_id
+        assert _predicted(split[doc_id]["spans"]) == base.spans, doc_id
+        assert {s["page"] for s in split[doc_id]["spans"]} == set(
+            range(base.n_pages)), doc_id
+
+
+def test_extraction_paths_agree_on_base_documents(ray_session, tmp_path):
+    """Differential over the generated base documents: per document, the
+    whole-document, page-split (threshold 2, 3 pages per shard), ranged
+    and chunked-corpus paths give the same span rows, by ``spans_digest``
+    of every field, and those rows are the generator's prediction."""
+    from iesl_pdf_to_text_ray.pipelines.extract_pipeline import \
+        extract_pdf_dir_ranged
+    from iesl_pdf_to_text_ray.sources.chunked import (read_chunked_corpus,
+                                                      write_chunked_corpus)
+    from iesl_pdf_to_text_ray.stages.extract import spans_digest
+    bases = {d.name: d for d in base_documents()}
+    corpus = _one_file_corpus(tmp_path / "corpus",
+                              {n: d.pdf_bytes for n, d in bases.items()})
+    pdf_dir = tmp_path / "pdfs"
+    pdf_dir.mkdir()
+    for name, doc in bases.items():
+        (pdf_dir / f"{name}.pdf").write_bytes(doc.pdf_bytes)
+    chunked = str(tmp_path / "chunked")
+    write_chunked_corpus(corpus, chunked, chunk_bytes=4096)
+    kw = dict(concurrency=2, batch_size=4)
+    whole = {r["doc_id"]: r["spans"]
+             for r in extract_dataset(corpus, **kw).take_all()}
+    assert whole.keys() == bases.keys()
+    for name, spans in whole.items():
+        assert _predicted(spans) == bases[name].spans, name
+    want = {d: spans_digest(s) for d, s in whole.items()}
+    for path, ds in (
+            ("split", extract_dataset(corpus, split_pages=True,
+                                      split_threshold=2, pages_per_shard=3,
+                                      **kw)),
+            ("ranged", extract_pdf_dir_ranged(str(pdf_dir),
+                                              pages_per_shard=3, **kw)),
+            ("chunked", extract_dataset(read_chunked_corpus(chunked),
+                                        **kw))):
+        got = {r["doc_id"]: spans_digest(r["spans"]) for r in ds.take_all()}
+        assert got == want, path
 
 
 def test_split_tasks_shards_by_pointer(corpus_dir):
