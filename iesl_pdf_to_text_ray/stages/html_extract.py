@@ -5,10 +5,11 @@ of (doc_id, html) rows emitting the interleaved span model
 
 At 10^12-document scale this is the embarrassingly-parallel shape: no
 shuffle anywhere, column-pruned reads, small batches because pages are
-KB-to-MB rows.  The stage holds no state (the classifier constants are
-module-level and ``html.parser`` is stateless), so it runs as short Ray
-tasks on the session's long-lived workers: a pass starts no actor pool
-and waits for no pool to scale up, and no CPU stays held once it ends.
+KB-to-MB rows.  The stage holds no state (the classifier constants and
+the tokenizer's compiled patterns are module-level, and a page's parse
+state lives only in its own call), so it runs as short Ray tasks on the
+session's long-lived workers: a pass starts no actor pool and waits for
+no pool to scale up, and no CPU stays held once it ends.
 """
 
 from __future__ import annotations

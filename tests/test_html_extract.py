@@ -1,20 +1,30 @@
 """HTML main-content extraction (north-rule "HTML boilerplate strip"
 leg): exact recovery of planted main content, boilerplate exclusion,
-media interleaving, malformed-input quarantine, and the Ray task-pool
-pipeline surface."""
+media interleaving, malformed-input quarantine, the Ray task-pool
+pipeline surface, and the tokenizer: the stdlib parser's blocks on every
+page, and bounded time on hostile pages."""
 
 from __future__ import annotations
 
 import gc
+import os
+import random
+import subprocess
+import sys
 import time
+from html.parser import HTMLParser
 
 import pyarrow as pa
 import pyarrow.parquet as pq
+import pytest
 
-from iesl_pdf_to_text_ray.functions.html_main import extract_main_spans
+from iesl_pdf_to_text_ray.functions.html_main import (
+    BLOCK_TAGS, DROP_TAGS, _Block, extract_main_spans, parse_blocks)
 from iesl_pdf_to_text_ray.sources.html_corpus import (
     expected_spans, figure_ref, main_paragraph, render_doc,
     synthesize_html_corpus)
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def test_exact_span_recovery_all_docs():
@@ -150,3 +160,155 @@ def test_row_error_quarantined(monkeypatch):
         if i != 3:
             assert r["error"] == "" and r["spans"] == expected_spans(i)
             assert r["n_spans"] == len(r["spans"])
+
+
+# ---- the tokenizer against the stdlib parser --------------------------------
+
+
+class _MainContentParser(HTMLParser):
+    """The reference segmenter on the stdlib parser: one pass segments
+    character data into blocks at BLOCK_TAGS boundaries, drops DROP_TAGS
+    subtrees, tracks anchor-text mass and <img> positions."""
+
+    def __init__(self):
+        super().__init__(convert_charrefs=True)
+        self.blocks: list[_Block] = [_Block("body")]
+        self.drop_depth = 0
+        self.anchor_depth = 0
+
+    def handle_starttag(self, tag, attrs):
+        tag = tag.lower()
+        if tag in DROP_TAGS:
+            self.drop_depth += 1
+            return
+        if self.drop_depth:
+            return
+        if tag == "a":
+            self.anchor_depth += 1
+        if tag == "img":
+            src = dict(attrs).get("src") or ""
+            if src:
+                blk = self.blocks[-1]
+                blk.media.append((len(blk.texts), src))
+            return
+        if tag in BLOCK_TAGS:
+            self.blocks.append(_Block(tag))
+
+    def handle_endtag(self, tag):
+        tag = tag.lower()
+        if tag in DROP_TAGS:
+            self.drop_depth = max(0, self.drop_depth - 1)
+            return
+        if self.drop_depth:
+            return
+        if tag == "a":
+            self.anchor_depth = max(0, self.anchor_depth - 1)
+        if tag in BLOCK_TAGS:
+            self.blocks.append(_Block(tag))
+
+    def handle_data(self, data):
+        if self.drop_depth:
+            return
+        s = data.strip()
+        if not s:
+            return
+        blk = self.blocks[-1]
+        blk.texts.append(s)
+        if self.anchor_depth:
+            blk.link_chars += len(s)
+
+
+def _reference_blocks(html):
+    p = _MainContentParser()
+    try:
+        p.feed(html or "")
+        p.close()
+    except Exception:
+        pass   # the stdlib raises on some <![ sections; keep what it saw
+    return [(b.tag, b.texts, b.link_chars, b.media) for b in p.blocks]
+
+
+def _blocks(html):
+    return [(b.tag, b.texts, b.link_chars, b.media)
+            for b in parse_blocks(html)]
+
+
+# pages on which the stdlib parser is quadratic or worse, as
+# (prefix, repeated unit)
+HOSTILE = {
+    "tag_soup": ("", "<a<b<c "),
+    "open_comments": ("", "<!--"),
+    "lt_run": ("", "<"),
+    "open_end_tags": ("", "</"),
+    "open_start_tag": ("<a", " x"),
+    "open_quoted_attr": ("<a href='", "x"),
+    "amp_run": ("", "&"),
+    "nested_p": ("", "<p>"),
+}
+
+
+def _hostile_page(shape: str, size: int) -> str:
+    prefix, unit = HOSTILE[shape]
+    return (prefix + unit * (size // len(unit) + 1))[:size]
+
+
+_SNIPPETS = ["<", ">", "&amp;", "&#65;", "&nbsp;", "&bogus", "<!--",
+             "<!-- c -->", "<br/>", "<BR>", "< p>", "</ p>", "<a<b>", "</>",
+             "<3", "<a href='x>y'>", "<img src=/u.png>",
+             '<IMG SRC="/U.PNG">', "<script>if(a<b)x()</script>",
+             "<![CDATA[x]]>", "<?php x ?>", "<!DOCTYPE x>", "\x00"]
+
+
+def _mutant(rng: random.Random, page: str) -> str:
+    """1-6 edits: insert a snippet, delete 1-8 characters, or truncate."""
+    for _ in range(rng.randint(1, 6)):
+        op = rng.random()
+        if op < 0.6:
+            at = rng.randrange(len(page) + 1)
+            page = page[:at] + rng.choice(_SNIPPETS) + page[at:]
+        elif op < 0.9 and page:
+            at = rng.randrange(len(page))
+            page = page[:at] + page[at + rng.randint(1, 8):]
+        else:
+            page = page[:rng.randrange(len(page) + 1)]
+    return page
+
+
+def test_tokenizer_matches_stdlib_parser():
+    """parse_blocks gives the stdlib parser's block lists (tag, texts,
+    link chars, media) on generated pages, on 6,000 seeded mutants of
+    them and on the hostile shapes at 4 KB."""
+    pages = [render_doc(i) for i in range(16)]
+    rng = random.Random(20241020)
+    pages += [_mutant(rng, render_doc(rng.randrange(1000)))
+              for _ in range(6000)]
+    pages += [_hostile_page(shape, 4096) for shape in HOSTILE]
+    diff = [i for i, page in enumerate(pages)
+            if _blocks(page) != _reference_blocks(page)]
+    assert diff == [], f"{len(diff)} pages differ, first {pages[diff[0]]!r}"
+
+
+_CHILD = """
+import sys, time
+from iesl_pdf_to_text_ray.functions.html_main import parse_blocks
+page = sys.stdin.read()
+t = time.perf_counter()
+parse_blocks(page)
+print(time.perf_counter() - t)
+"""
+
+
+@pytest.mark.parametrize("shape", sorted(HOSTILE))
+def test_hostile_page_parses_in_bounded_time(shape):
+    """A 256 KB page of each hostile shape parses within 2 s.  The parse
+    runs in a child process with a 10 s deadline, so a quadratic parser
+    fails here instead of running for minutes."""
+    try:
+        out = subprocess.run(
+            [sys.executable, "-c", _CHILD],
+            input=_hostile_page(shape, 256 * 1024), cwd=REPO,
+            capture_output=True, text=True, timeout=10, check=True)
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"{shape}: no result within the 10 s deadline")
+    seconds = float(out.stdout)
+    assert seconds < 2.0, f"{shape}: {seconds:.2f} s"
